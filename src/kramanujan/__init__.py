@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedRangeError,
 )
 from .primes import PrimeStore, sieve_upto
-from .theorems import AXLER, BUILTIN_THEOREMS, DUSART, RAMARE_SAOUTER, TRUDGIAN, GapTheorem
+from .theorems import AXLER, BUILTIN_THEOREMS, DUSART, TRUDGIAN, GapTheorem
 from .verify import VerificationReport, largest_violation, verify_theorem
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "InsufficientStoreError",
     "KRamanujanError",
     "PrimeStore",
-    "RAMARE_SAOUTER",
     "RangeError",
     "ResourceLimitError",
     "TRUDGIAN",

@@ -78,11 +78,12 @@ def cmd_compute(args) -> int:
         "method": method,
     }
     if method == "table":
-        prime, index = core.first_k_ramanujan(k)
+        bound = core.certified_bound(k)
+        store = core.shared_store(bound)
+        prime, index = core.first_k_ramanujan(k, store)
         record["prime"] = prime
         record["index"] = index
-        record["certified_bound"] = core.certified_bound(k)
-        store = core.shared_store(core.certified_bound(k))
+        record["certified_bound"] = bound
         if core.k_equals_gap_ratio(k, store, store.count):
             record["k_equals_gap_ratio"] = True
     else:

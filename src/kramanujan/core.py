@@ -18,24 +18,14 @@ from .errors import (
     RangeError,
     UnsupportedRangeError,
 )
-from .primes import PrimeStore, sieve_upto
-from .theorems import BUILTIN_THEOREMS, HIGH_PRECISION_DPS, TRUDGIAN, GapTheorem
-
-# Thresholds with a known closed answer or a precomputed certified bound:
-# R_1 = 2 for k >= 5/3, and R_1 <= 58890 for every k >= 1.0008968291
-# (R_1 is monotone non-increasing in k, so the bound certified for the
-# smallest such k covers all larger ones).
-TWO_CUTOFF = Fraction(5, 3)
-FAST_K = Fraction("1.0008968291")
-FAST_BOUND = 58890
-FAST_INDEX_LIMIT = 5950
+from .primes import DEFAULT_SIEVE_BUDGET, PrimeStore, sieve_upto
+from .theorems import BUILTIN_THEOREMS, HIGH_PRECISION_DPS, GapTheorem
 
 _K_PATTERN = re.compile(r"^\s*(\d+(?:\.\d{1,15})?|\d+/\d+)\s*$")
 
-# Sieves are cached in power-of-two buckets; a bigger store answers any
-# smaller request identically because all searches are index-bounded.
-_STORE_CACHE: dict[int, PrimeStore] = {}
-_STORE_CACHE_SLOTS = 6
+# The largest sieve built so far.  A bigger store answers any smaller
+# request identically because all searches are index-bounded.
+_shared: PrimeStore | None = None
 
 
 def parse_k(text: str) -> Fraction:
@@ -63,16 +53,15 @@ class BreakpointEntry:
 
 
 def shared_store(limit: int) -> PrimeStore:
-    """Cached sieve, rounded up to a power-of-two bucket."""
-    bucket = 1 << max(limit, 2).bit_length()
-    for cached in _STORE_CACHE.values():
-        if cached.limit >= limit:
-            return cached
-    if len(_STORE_CACHE) >= _STORE_CACHE_SLOTS:
-        _STORE_CACHE.pop(next(iter(_STORE_CACHE)))
-    store = sieve_upto(bucket)
-    _STORE_CACHE[bucket] = store
-    return store
+    """Cached sieve reaching at least ``limit``.
+
+    The cached store is reused for any request it covers; otherwise exactly
+    ``limit`` is sieved and replaces it.
+    """
+    global _shared
+    if _shared is None or _shared.limit < limit:
+        _shared = sieve_upto(limit)
+    return _shared
 
 
 def cor_bound(k: Fraction, thm: GapTheorem) -> int:
@@ -87,10 +76,14 @@ def cor_bound(k: Fraction, thm: GapTheorem) -> int:
         raise DomainError(f"threshold k must exceed 1, got {k}")
     if not thm.admits(k):
         raise DomainError(f"k = {k} exceeds k_max of theorem {thm.name}")
-    kf = float(k)
-    radicand = float(thm.c / (k - 1))
-    value = kf * math.exp(radicand ** (1.0 / thm.e)) * (1.0 + 1e-12)
-    bound = math.ceil(value)
+    try:
+        radicand = float(thm.c / (k - 1))
+        value = float(k) * math.exp(radicand ** (1.0 / thm.e)) * (1.0 + 1e-12)
+        bound = math.ceil(value)
+    except OverflowError:
+        raise UnsupportedRangeError(
+            f"bound for k = {k} under theorem {thm.name} overflows double precision"
+        ) from None
     with mpmath.workdps(HIGH_PRECISION_DPS):
         k_hp = mpmath.mpf(k.numerator) / k.denominator
         if abs(thm.k_max() - k_hp) < 1e-9 * thm.k_max():
@@ -119,35 +112,42 @@ def _max_ratio_index(store: PrimeStore, k: Fraction, hi_index: int) -> int | Non
     return None
 
 
+def _theorem_bound(k: Fraction, thm: GapTheorem) -> int:
+    """Certified upper bound for R_1^(k) from one theorem, for any k > 1.
+
+    The corollary's bound while the theorem admits k.  Past k_max, R_1^(k)
+    is non-increasing in k, so the corollary's value at k_max, which is
+    k_max * x0, still holds.
+    """
+    if thm.admits(k):
+        return cor_bound(k, thm)
+    with mpmath.workdps(HIGH_PRECISION_DPS):
+        return int(mpmath.ceil(thm.k_max() * thm.x0))
+
+
 def certified_bound(k: Fraction) -> int:
-    """Smallest certified upper bound for R_1^(k) from the built-in facts."""
+    """Smallest certified upper bound for R_1^(k) over the built-in theorems.
+
+    Raises UnsupportedRangeError when that bound is past the sieve budget.
+    """
     if k <= 1:
         raise DomainError(f"threshold k must exceed 1, got {k}")
-    if k >= TWO_CUTOFF:
-        return 2
-    if k >= FAST_K:
-        return FAST_BOUND
-    with mpmath.workdps(HIGH_PRECISION_DPS):
-        if mpmath.mpf(k.numerator) / k.denominator < TRUDGIAN.k_max():
-            raise UnsupportedRangeError(
-                f"k = {k} is below the coverage floor (trudgian k_max ~ 1.0000407)"
-            )
-    applicable = [t for t in BUILTIN_THEOREMS.values() if t.admits(k)]
-    return min(cor_bound(k, t) for t in applicable)
+    bound = min(_theorem_bound(k, thm) for thm in BUILTIN_THEOREMS.values())
+    if bound > DEFAULT_SIEVE_BUDGET:
+        raise UnsupportedRangeError(
+            f"certified bound {bound} for k = {k} is past the sieve budget "
+            f"DEFAULT_SIEVE_BUDGET = {DEFAULT_SIEVE_BUDGET}"
+        )
+    return bound
 
 
 def first_k_ramanujan(k: Fraction, store: PrimeStore | None = None) -> tuple[int, int]:
     """R_1^(k) and its 1-based prime index.
 
-    Dispatch: closed form for k >= 5/3; the fixed 58890 horizon for
-    k >= 1.0008968291; otherwise the cheapest theorem-certified bound.
     The answer is p_m for m = max{n >= 2 | p_n/p_{n-1} > k}, or 2 when no
-    gap ratio exceeds k.
+    gap ratio exceeds k; past the certified bound no ratio exceeds k, so
+    only the primes up to it are searched.
     """
-    if k <= 1:
-        raise DomainError(f"threshold k must exceed 1, got {k}")
-    if k >= TWO_CUTOFF:
-        return 2, 1
     bound = certified_bound(k)
     if store is None:
         store = shared_store(bound)
@@ -155,11 +155,7 @@ def first_k_ramanujan(k: Fraction, store: PrimeStore | None = None) -> tuple[int
         raise InsufficientStoreError(
             f"store limit {store.limit} below certified bound {bound} for k = {k}"
         )
-    if k >= FAST_K:
-        hi_index = min(FAST_INDEX_LIMIT, store.count)
-    else:
-        hi_index = store.prime_count(bound)
-    m = _max_ratio_index(store, k, hi_index)
+    m = _max_ratio_index(store, k, store.prime_count(bound))
     if m is None:
         return 2, 1
     return store.nth_prime(m), m
@@ -188,7 +184,7 @@ def brute_force_R(
 
     The deficiency D(x) = pi(x) - pi(x/k) can only drop where pi(x/k) jumps,
     i.e. at x = k*p; every x below p_n fails trivially since pi(x) < n
-    there.  The answer is the smallest prime above the last failing point.
+    there.  After the last failing point k*p_j the answer is p_{n+j}.
     Raises InconclusiveError when the last failure is past scan_limit/2,
     because the tail cannot then be trusted.
     """
@@ -212,8 +208,6 @@ def brute_force_R(
     # Critical points x = k*p for primes p with k*p <= scan_limit.
     p_hi = (scan_limit * den) // num
     count = int(np.searchsorted(primes, p_hi, side="right"))
-    last_fail_floor = None  # floor(k*p) at the last failing critical point
-    last_fail_p = None
     ps = primes[:count].tolist()
     floors = np.fromiter(
         ((num * p) // den for p in ps), dtype=np.int64, count=count
@@ -221,20 +215,16 @@ def brute_force_R(
     pi_at = np.searchsorted(primes, floors, side="right")
     deficiency = pi_at - (np.arange(count) + 1)
     failing = np.flatnonzero(deficiency < n)
+    last = 0  # 1-based index j of the last failing critical point k*p_j
     if len(failing):
-        j = int(failing[-1])
-        last_fail_p = ps[j]
-        last_fail_floor = int(floors[j])
-        if 2 * num * last_fail_p > scan_limit * den:
+        last = int(failing[-1]) + 1
+        if 2 * num * ps[last - 1] > scan_limit * den:
             raise InconclusiveError(
-                f"last failing point k*{last_fail_p} is above {scan_limit}/2"
+                f"last failing point k*{ps[last - 1]} is above {scan_limit}/2"
             )
-        idx = int(np.searchsorted(primes, last_fail_floor, side="right"))
-        critical_answer = int(primes[idx])
-    else:
-        critical_answer = 2
-    # x < p_n always fails: pi(x) <= n-1 regardless of k.
-    return max(critical_answer, store.nth_prime(n))
+    # From k*p_j on, pi(x/k) = j up to the next critical point, which passes,
+    # so D(x) >= n exactly from p_{n+j} on (from p_n when nothing fails).
+    return store.nth_prime(n + last)
 
 
 def breakpoints(

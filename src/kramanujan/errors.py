@@ -14,7 +14,7 @@ class RangeError(KRamanujanError):
 
 
 class UnsupportedRangeError(DomainError):
-    """The threshold k lies below the coverage of every built-in theorem."""
+    """The certified bound for k is past what can be evaluated or sieved."""
 
 
 class ResourceLimitError(KRamanujanError):

@@ -59,11 +59,7 @@ class GapTheorem:
 
 AXLER = GapTheorem("axler", 58837, Fraction("1.188"), 3)
 DUSART = GapTheorem("dusart", 396738, Fraction(1, 25), 2)
-TRUDGIAN = GapTheorem("trudgian", 2898239, Fraction(1, 111), 2)
+TRUDGIAN = GapTheorem("trudgian", 2898242, Fraction(1, 111), 2)
 
 BUILTIN_THEOREMS = {t.name: t for t in (AXLER, DUSART, TRUDGIAN)}
 
-# Ramare-Saouter: for x >= 10726905041 the interval (x, x + x/28313999]
-# contains a prime.  Constant-width form, not c/log^e, and its validity
-# range is beyond desk-scale verification; recorded for reference only.
-RAMARE_SAOUTER = {"x_min": 10_726_905_041, "interval_divisor": 28_313_999}

@@ -20,7 +20,7 @@ from .primes import PrimeStore
 from .theorems import GapTheorem
 
 # Pairs whose double-precision margin is thinner than this (relative) are
-# reclassified with 50-digit arithmetic before being reported either way.
+# reclassified with 50-digit arithmetic; wider margins decide on their own.
 _MARGIN_GUARD = 1e-9
 
 
@@ -46,11 +46,10 @@ def _scan_chunk(
     thr = x * (1.0 + float(thm.c) / np.log(x) ** thm.e)
     qf = q.astype(np.float64)
     margin = (thr - qf) / thr
-    suspect = np.flatnonzero(margin < _MARGIN_GUARD)
     out = []
-    for j in suspect.tolist():
+    for j in np.flatnonzero(margin < _MARGIN_GUARD).tolist():
         xi, qi = max(int(p[j]), lo), int(q[j])
-        if not thm.threshold_exceeds(xi, qi):
+        if margin[j] <= -_MARGIN_GUARD or not thm.threshold_exceeds(xi, qi):
             out.append((int(p[j]), qi, float(thr[j])))
     return out
 

@@ -56,6 +56,40 @@ def test_compute_boundary_k_flagged(capsys):
     assert rec.get("k_equals_gap_ratio") is True
 
 
+def test_compute_five_thirds_flagged(capsys):
+    # 5/3 = p_3/p_2; the store behind the certified bound 58890 reaches 5
+    code, rec = run_json(capsys, "compute", "--k", "5/3")
+    assert code == 0
+    assert (rec["prime"], rec["index"]) == (2, 1)
+    assert rec["certified_bound"] == 58890
+    assert rec.get("k_equals_gap_ratio") is True
+
+
+def test_compute_trudgian_x0(capsys):
+    # the gap 2898239 -> 2898359 straddles trudgian's x0 = 2898242
+    code, rec = run_json(capsys, "compute", "--k", "1.000041")
+    assert code == 0
+    assert (rec["prime"], rec["index"]) == (2898359, 209990)
+    assert rec["certified_bound"] == 2898360
+
+
+@pytest.mark.parametrize("k", ["1.00001", "1.000000000000001"])
+def test_compute_k_too_close_to_one(capsys, k):
+    code, out, err = run(capsys, "compute", "--k", k)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_bound_overflow_exit(capsys):
+    code, out, err = run(
+        capsys, "bound", "--k", "1.000000000000001", "--theorem", "trudgian"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_compute_domain_exit(capsys):
     assert run(capsys, "compute", "--k", "0.9")[0] == 2
 

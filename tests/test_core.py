@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -5,6 +7,7 @@ import pytest
 
 from kramanujan import (
     AXLER,
+    TRUDGIAN,
     DomainError,
     InconclusiveError,
     InsufficientStoreError,
@@ -76,6 +79,32 @@ class TestCorBound:
         with pytest.raises(DomainError):
             cor_bound(Fraction(1), AXLER)
 
+    def test_overflow_is_unsupported_range(self):
+        with pytest.raises(UnsupportedRangeError):
+            cor_bound(Fraction("1.000000000000001"), TRUDGIAN)
+
+
+class TestCertifiedBound:
+    @pytest.mark.parametrize(
+        "k,expected",
+        [
+            # past each theorem's k_max its bound is ceil(k_max * x0)
+            (Fraction(2), 58890),  # axler
+            (Fraction("1.0003"), 396834),  # dusart
+            (Fraction("1.0001"), 2898360),  # trudgian
+            # admitted: the corollary's value
+            (Fraction("1.0008968291"), 58890),
+            (Fraction("1.00002"), 1_649_664_876),
+        ],
+    )
+    def test_minimum_over_theorems(self, k, expected):
+        assert certified_bound(k) == expected
+
+    def test_past_sieve_budget(self):
+        # ~1.08e13 under trudgian; raised before anything is sieved
+        with pytest.raises(UnsupportedRangeError, match="DEFAULT_SIEVE_BUDGET"):
+            certified_bound(Fraction("1.00001"))
+
 
 class TestFirstKRamanujan:
     @pytest.mark.parametrize(
@@ -101,11 +130,21 @@ class TestFirstKRamanujan:
 
     def test_unsupported_range(self):
         with pytest.raises(UnsupportedRangeError):
-            first_k_ramanujan(Fraction("1.00002"))
+            first_k_ramanujan(Fraction("1.00001"))
 
     def test_k_at_most_one(self):
         with pytest.raises(DomainError):
             first_k_ramanujan(Fraction(1, 2))
+
+    def test_oracle_cross_check_near_trudgian(self):
+        rng = random.Random(407)
+        lo, hi = math.log(0.0000407), math.log(0.001)
+        for _ in range(12):
+            k = 1 + Fraction(math.exp(rng.uniform(lo, hi))).limit_denominator(10**12)
+            bound = certified_bound(k)
+            prime, _ = first_k_ramanujan(k)
+            assert prime <= bound
+            assert brute_force_R(k, 1, 2 * bound) == prime, f"k = {k}"
 
     def test_supplied_store_too_small(self):
         with pytest.raises(InsufficientStoreError):
@@ -120,9 +159,9 @@ class TestBruteForce:
         assert brute_force_R(Fraction(2), 2, 1000) == 11
 
     def test_classical_ramanujan_primes(self):
-        # k = 2 reproduces the classical sequence 2, 11, 17, 29, 41
-        got = [brute_force_R(Fraction(2), n, 10_000) for n in range(1, 6)]
-        assert got == [2, 11, 17, 29, 41]
+        # k = 2 reproduces the classical sequence (OEIS A104272)
+        got = [brute_force_R(Fraction(2), n, 10_000) for n in range(1, 11)]
+        assert got == [2, 11, 17, 29, 41, 47, 59, 67, 71, 97]
 
     def test_paper_value(self):
         assert brute_force_R(parse_k("1.0008968291"), 1, 200_000) == 58889

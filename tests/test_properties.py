@@ -14,7 +14,10 @@ from kramanujan import (
     first_k_ramanujan,
     is_first_k_ramanujan,
 )
-from kramanujan.core import FAST_BOUND, shared_store
+from kramanujan.core import shared_store
+
+# certified bound for every k >= 1.0008968291 (the paper's horizon)
+FAST_BOUND = 58890
 
 # exact rationals in (1.001, 5/3), the cheap fast-path region
 ks = st.fractions(

@@ -63,6 +63,22 @@ def test_determinism_and_jobs_merge(store_10m):
     assert a.pairs_checked == c.pairs_checked
 
 
+def test_float_margin_matches_full_recheck(store_10m):
+    # every gap decided at 50 digits gives the same violations as the float
+    # prescreen, which rechecks only thin margins
+    lo, hi = 58837, 150_000
+    p, q = store_10m.gap_arrays(lo, hi)
+    for thm in (CUSTOM_WEAK, GapTheorem("custom", 58837, Fraction("0.5"), 3)):
+        want = [
+            (int(a), int(b))
+            for a, b in zip(p, q)
+            if not thm.threshold_exceeds(max(int(a), lo), int(b))
+        ]
+        got = verify_theorem(thm, lo, hi, store_10m).violations
+        assert [(a, b) for a, b, _ in got] == want
+        assert want
+
+
 def test_weaker_theorem_never_worse(store_10m):
     # same exponent, larger allowance: violation set can only shrink
     weak = verify_theorem(CUSTOM_WEAK, 58837, 10**6, store_10m)
