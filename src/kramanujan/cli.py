@@ -2,7 +2,7 @@
 
 stdout carries data (JSON, or CSV for `table --format csv`); diagnostics go
 to stderr.  Exit codes: 0 success, 1 usage, 2 domain error, 3 violations
-found, 4 inconclusive oracle.
+found, 4 inconclusive oracle, 5 sieve past its memory budget.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import core
-from .errors import DomainError, InconclusiveError, KRamanujanError, RangeError
+from .errors import InconclusiveError, KRamanujanError, ResourceLimitError
 from .primes import sieve_upto
 from .theorems import BUILTIN_THEOREMS, GapTheorem
 from .verify import verify_theorem
@@ -23,6 +23,7 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_VIOLATIONS = 3
 EXIT_INCONCLUSIVE = 4
+EXIT_RESOURCE = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -243,7 +244,10 @@ def main(argv: list[str] | None = None) -> int:
     except InconclusiveError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except (DomainError, RangeError, KRamanujanError) as e:
+    except ResourceLimitError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except KRamanujanError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -3,12 +3,10 @@ characterization path, explicit upper bounds, and the breakpoint table."""
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .errors import (
@@ -19,7 +17,7 @@ from .errors import (
     UnsupportedRangeError,
 )
 from .primes import DEFAULT_SIEVE_BUDGET, PrimeStore, sieve_upto
-from .theorems import BUILTIN_THEOREMS, HIGH_PRECISION_DPS, GapTheorem
+from .theorems import BUILTIN_THEOREMS, PRESCREEN_GUARD, GapTheorem
 
 _K_PATTERN = re.compile(r"^\s*(\d+(?:\.\d{1,15})?|\d+/\d+)\s*$")
 
@@ -67,72 +65,42 @@ def shared_store(limit: int) -> PrimeStore:
 def cor_bound(k: Fraction, thm: GapTheorem) -> int:
     """Certified integer upper bound k*exp((c/(k-1))^(1/e)) for R_1^(k).
 
-    Evaluated in double precision, inflated by 1 + 1e-12, rounded up; inputs
-    within relative 1e-9 of the theorem's k_max are re-verified at 50-digit
-    precision.  Only upward error is acceptable: the result must dominate
-    the true bound.
+    The exact ceiling of the corollary's value, for k the theorem admits.
     """
-    if k <= 1:
-        raise DomainError(f"threshold k must exceed 1, got {k}")
     if not thm.admits(k):
-        raise DomainError(f"k = {k} exceeds k_max of theorem {thm.name}")
-    try:
-        radicand = float(thm.c / (k - 1))
-        value = float(k) * math.exp(radicand ** (1.0 / thm.e)) * (1.0 + 1e-12)
-        bound = math.ceil(value)
-    except OverflowError:
-        raise UnsupportedRangeError(
-            f"bound for k = {k} under theorem {thm.name} overflows double precision"
-        ) from None
-    with mpmath.workdps(HIGH_PRECISION_DPS):
-        k_hp = mpmath.mpf(k.numerator) / k.denominator
-        if abs(thm.k_max() - k_hp) < 1e-9 * thm.k_max():
-            t = thm.c / (k - 1)
-            t_hp = mpmath.mpf(t.numerator) / t.denominator
-            hp = k_hp * mpmath.exp(mpmath.root(t_hp, thm.e))
-            bound = int(mpmath.ceil(hp * (1 + mpmath.mpf("1e-45"))))
-    return bound
+        raise DomainError(f"k = {k} is outside (1, k_max] of theorem {thm.name}")
+    return thm.corollary_bound(k)
 
 
-def _max_ratio_index(store: PrimeStore, k: Fraction, hi_index: int) -> int | None:
-    """Largest n in [2, hi_index] with p_n/p_{n-1} > k exactly, else None.
+def _max_ratio_index(store: PrimeStore, k: Fraction, hi_index: int) -> int:
+    """Largest n in [2, hi_index] with p_n/p_{n-1} > k exactly, else 1.
 
     Double-precision prescreen over the whole range, exact big-int
     confirmation of candidates from the top down.
     """
     primes = store.primes[:hi_index]
-    if len(primes) < 2:
-        return None
-    ratios = primes[1:].astype(np.float64) / primes[:-1].astype(np.float64)
-    candidates = np.flatnonzero(ratios >= float(k) * (1.0 - 1e-12))
+    ratios = np.divide(primes[1:], primes[:-1])
+    candidates = np.flatnonzero(ratios >= float(k) * (1.0 - PRESCREEN_GUARD))
     num, den = k.numerator, k.denominator
     for j in reversed(candidates.tolist()):
         if int(primes[j + 1]) * den > int(primes[j]) * num:
             return j + 2  # ratio index n is 1-based: p_n / p_{n-1}
-    return None
-
-
-def _theorem_bound(k: Fraction, thm: GapTheorem) -> int:
-    """Certified upper bound for R_1^(k) from one theorem, for any k > 1.
-
-    The corollary's bound while the theorem admits k.  Past k_max, R_1^(k)
-    is non-increasing in k, so the corollary's value at k_max, which is
-    k_max * x0, still holds.
-    """
-    if thm.admits(k):
-        return cor_bound(k, thm)
-    with mpmath.workdps(HIGH_PRECISION_DPS):
-        return int(mpmath.ceil(thm.k_max() * thm.x0))
+    return 1
 
 
 def certified_bound(k: Fraction) -> int:
     """Smallest certified upper bound for R_1^(k) over the built-in theorems.
 
-    Raises UnsupportedRangeError when that bound is past the sieve budget.
+    A theorem gives its corollary's bound while it admits k, and past k_max
+    the corollary's value at k_max, k_max * x0, since R_1^(k) is
+    non-increasing in k.  Raises UnsupportedRangeError past the sieve budget.
     """
     if k <= 1:
         raise DomainError(f"threshold k must exceed 1, got {k}")
-    bound = min(_theorem_bound(k, thm) for thm in BUILTIN_THEOREMS.values())
+    bound = min(
+        cor_bound(k, thm) if thm.admits(k) else thm.k_max_bound()
+        for thm in BUILTIN_THEOREMS.values()
+    )
     if bound > DEFAULT_SIEVE_BUDGET:
         raise UnsupportedRangeError(
             f"certified bound {bound} for k = {k} is past the sieve budget "
@@ -156,8 +124,6 @@ def first_k_ramanujan(k: Fraction, store: PrimeStore | None = None) -> tuple[int
             f"store limit {store.limit} below certified bound {bound} for k = {k}"
         )
     m = _max_ratio_index(store, k, store.prime_count(bound))
-    if m is None:
-        return 2, 1
     return store.nth_prime(m), m
 
 
@@ -166,15 +132,12 @@ def is_first_k_ramanujan(N: int, k: Fraction, store: PrimeStore) -> bool:
     store, and p_N/p_{N-1} > k (vacuous for N = 1)."""
     if not 1 <= N <= store.count - 1:
         raise RangeError(f"index {N} outside 1..{store.count - 1}")
-    if k <= 1:
-        raise DomainError(f"threshold k must exceed 1, got {k}")
     bound = certified_bound(k)
     if store.limit < bound:
         raise InsufficientStoreError(
             f"store limit {store.limit} below certified bound {bound} for k = {k}"
         )
-    m = _max_ratio_index(store, k, store.count)
-    return (m if m is not None else 1) == N
+    return _max_ratio_index(store, k, store.count) == N
 
 
 def brute_force_R(
@@ -254,14 +217,9 @@ def k_equals_gap_ratio(k: Fraction, store: PrimeStore, hi_index: int) -> bool:
     """True when k is exactly some gap ratio p_n/p_{n-1}, n <= hi_index.
 
     Boundary thresholds sit on the closed end of a breakpoint interval;
-    callers should surface this in output.
+    callers should surface this in output.  Consecutive primes are coprime,
+    so this holds iff k's lowest terms are p_n over p_{n-1}.
     """
     primes = store.primes[: min(hi_index, store.count)]
-    if len(primes) < 2:
-        return False
-    num, den = k.numerator, k.denominator
-    ratios = primes[1:].astype(np.float64) / primes[:-1].astype(np.float64)
-    near = np.flatnonzero(np.abs(ratios - float(k)) < 1e-9 * float(k))
-    return any(
-        int(primes[j + 1]) * den == int(primes[j]) * num for j in near.tolist()
-    )
+    j = int(np.searchsorted(primes, k.denominator))
+    return primes[j : j + 2].tolist() == [k.denominator, k.numerator]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
 
@@ -61,22 +60,12 @@ class PrimeStore:
             raise RangeError(f"prime index {n} outside 1..{self.count}")
         return int(self.primes[n - 1])
 
-    def gap_pairs(self, lo: int, hi: int) -> Iterator[tuple[int, int]]:
-        """Consecutive prime pairs (p_j, p_{j+1}) with lo <= p_j <= hi.
+    def gap_arrays(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Consecutive prime pairs as arrays (p_j, p_{j+1}), lo <= p_j <= hi.
 
-        Also yields the straddling pair with p_j < lo < p_{j+1} when one
+        Also includes the straddling pair with p_j < lo < p_{j+1} when one
         exists, so callers always see the gap covering lo.
         """
-        lo_idx, hi_idx = self._pair_index_range(lo, hi)
-        for j in range(lo_idx, hi_idx):
-            yield int(self.primes[j]), int(self.primes[j + 1])
-
-    def gap_arrays(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized form of :meth:`gap_pairs`: arrays (p_j, p_{j+1})."""
-        lo_idx, hi_idx = self._pair_index_range(lo, hi)
-        return self.primes[lo_idx:hi_idx], self.primes[lo_idx + 1 : hi_idx + 1]
-
-    def _pair_index_range(self, lo: int, hi: int) -> tuple[int, int]:
         if not 2 <= lo <= hi <= self.limit:
             raise RangeError(f"bad gap range [{lo}, {hi}] for limit {self.limit}")
         # 0-based index of the first pair: the prime starting the gap that
@@ -88,7 +77,7 @@ class PrimeStore:
         # pairs run while p_j <= hi and p_{j+1} is in the store
         hi_idx = int(np.searchsorted(self.primes, hi, side="right"))
         hi_idx = min(hi_idx, self.count - 1)
-        return lo_idx, hi_idx
+        return self.primes[lo_idx:hi_idx], self.primes[lo_idx + 1 : hi_idx + 1]
 
     def __repr__(self) -> str:
         return f"PrimeStore(limit={self.limit}, count={self.count})"
@@ -124,17 +113,3 @@ def sieve_upto(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> PrimeStore:
         low = high
 
     return PrimeStore(limit, np.concatenate(chunks))
-
-
-def trial_division_primes(limit: int) -> list[int]:
-    """Independent oracle for sieve output; O(n sqrt n), small limits only."""
-    out = []
-    for n in range(2, limit + 1):
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                break
-            d += 1
-        else:
-            out.append(n)
-    return out

@@ -17,11 +17,7 @@ import numpy as np
 
 from .errors import DomainError, RangeError
 from .primes import PrimeStore
-from .theorems import GapTheorem
-
-# Pairs whose double-precision margin is thinner than this (relative) are
-# reclassified with 50-digit arithmetic; wider margins decide on their own.
-_MARGIN_GUARD = 1e-9
+from .theorems import PRESCREEN_GUARD, GapTheorem
 
 
 @dataclass
@@ -44,12 +40,11 @@ def _scan_chunk(
     """Violating pairs within one slice of the gap arrays."""
     x = np.maximum(p, lo).astype(np.float64)
     thr = x * (1.0 + float(thm.c) / np.log(x) ** thm.e)
-    qf = q.astype(np.float64)
-    margin = (thr - qf) / thr
+    margin = (thr - q) / thr
     out = []
-    for j in np.flatnonzero(margin < _MARGIN_GUARD).tolist():
+    for j in np.flatnonzero(margin < PRESCREEN_GUARD).tolist():
         xi, qi = max(int(p[j]), lo), int(q[j])
-        if margin[j] <= -_MARGIN_GUARD or not thm.threshold_exceeds(xi, qi):
+        if margin[j] <= -PRESCREEN_GUARD or not thm.threshold_exceeds(xi, qi):
             out.append((int(p[j]), qi, float(thr[j])))
     return out
 
@@ -108,8 +103,5 @@ def largest_violation(
     probe = GapTheorem("candidate", 2, c, e)
     p, q = store.gap_arrays(lo, hi)
     inside = p >= lo  # threshold is taken at x = p, so straddle is excluded
-    hits = _scan_chunk(probe, p[inside], q[inside], lo=2)
-    if not hits:
-        return None
-    worst = max(hits)
-    return worst[0], worst[1]
+    hits = _scan_chunk(probe, p[inside], q[inside], lo=2)  # ascending in p
+    return hits[-1][:2] if hits else None

@@ -128,6 +128,13 @@ def test_bound_near_k_max(capsys):
     assert rec["bound"] == 58890  # ceil(k * 58837): the exponential is ~x0
 
 
+def test_bound_exact_ceiling_past_float(capsys):
+    # the exact ceiling; a float evaluation gives 88145337128316032
+    code, rec = run_json(capsys, "bound", "--k", "1.00002", "--theorem", "axler")
+    assert code == 0
+    assert rec["bound"] == 88145337128228639
+
+
 def test_bound_custom_theorem(capsys):
     code, rec = run_json(
         capsys, "bound", "--k", "1.0008968291", "--theorem", "custom",
@@ -216,6 +223,20 @@ def test_verify_custom_missing_params_exit(capsys):
         capsys, "verify", "--theorem", "custom", "--from", "100", "--to", "1000"
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--theorem", "axler", "--from", "58837", "--to", "3000000000"],
+        ["compute", "--k", "2", "--n", "2", "--scan-limit", "3000000000"],
+    ],
+)
+def test_sieve_budget_exit_5(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: ") and "budget" in err
 
 
 def test_unknown_subcommand_usage(capsys):

@@ -1,5 +1,6 @@
 """Property-based checks tying the fast paths to their definitions."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -108,11 +109,12 @@ def test_per_gap_reduction_soundness(data):
     store = shared_store(200_000)
     report = verify_theorem(AXLER, 58837, 70_000, store)
     assert report.ok
-    pairs = list(store.gap_pairs(58837, 70_000))
-    p, q = pairs[data.draw(st.integers(min_value=0, max_value=len(pairs) - 1))]
+    ps, qs = store.gap_arrays(58837, 70_000)
+    j = data.draw(st.integers(min_value=0, max_value=len(ps) - 1))
+    p, q = int(ps[j]), int(qs[j])
     lo = max(p, 58837)
     t = data.draw(st.fractions(min_value=0, max_value=1, max_denominator=997))
     x = lo + (q - 1 - lo) * t  # rational point in [lo, q)
-    thr = AXLER.threshold(float(x))
+    thr = float(x) * (1 + float(AXLER.c) / math.log(x) ** AXLER.e)
     # the next prime q lies inside (x, x(1 + c/log^3 x)]
     assert float(x) < q <= thr

@@ -1,0 +1,139 @@
+"""The rigorous arithmetic path: interval enclosures against 60-digit
+references, thread safety, and the single float prescreen guard."""
+
+import math
+import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
+from pathlib import Path
+
+import mpmath
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import kramanujan
+from kramanujan import (
+    AXLER,
+    DUSART,
+    TRUDGIAN,
+    GapTheorem,
+    UnsupportedRangeError,
+    certified_bound,
+    cor_bound,
+    verify_theorem,
+)
+from kramanujan.theorems import _corollary, _log_pow
+
+REF_DPS = 60
+WEAK = GapTheorem("custom", 58837, Fraction("0.05"), 3)
+
+theorems = st.builds(
+    GapTheorem,
+    st.just("custom"),
+    st.integers(min_value=2, max_value=10**6),
+    st.fractions(min_value=Fraction(1, 1000), max_value=2, max_denominator=1000),
+    st.integers(min_value=1, max_value=4),
+)
+# k - 1, log-uniform in [1e-6, 1]
+k_minus_one = st.floats(min_value=math.log(1e-6), max_value=0.0).map(
+    lambda u: Fraction(math.exp(u))
+)
+
+
+def _mpf(x: Fraction) -> mpmath.mpf:
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def _exact(x: mpmath.mpf) -> Fraction:
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+@settings(max_examples=200, deadline=None)
+@given(theorems, k_minus_one, st.sampled_from([64, 128]))
+def test_enclosures_contain_reference(thm, d, prec):
+    k = 1 + d
+    with mpmath.workdps(REF_DPS):
+        log_pow = mpmath.log(thm.x0) ** thm.e
+        k_max = 1 + _mpf(thm.c) / log_pow
+        value = _mpf(k) * mpmath.exp(mpmath.root(_mpf(thm.c / d), thm.e))
+        overflows = value >= mpmath.mpf(2) ** 1024
+        ceiling = int(mpmath.ceil(value)) if value < 10**45 else None
+    lo, hi = _log_pow(thm.x0, thm.e, prec)
+    assert lo <= _exact(log_pow) <= hi
+    lo, hi = thm.k_max(prec)
+    assert lo <= _exact(k_max) <= hi
+    assert thm.admits(k) == (k <= _exact(k_max))
+    if overflows:
+        with pytest.raises(UnsupportedRangeError):
+            thm.corollary_bound(k)
+        return
+    lo, hi = _corollary(k, thm.c, thm.e, prec)
+    assert lo <= _exact(value) <= hi
+    if thm.admits(k) and ceiling is not None:
+        assert cor_bound(k, thm) == ceiling
+
+
+@settings(max_examples=300, deadline=None)
+@given(theorems, st.integers(min_value=2, max_value=10**12), st.integers(-2, 2))
+def test_threshold_exceeds_matches_reference(thm, x, delta):
+    # q is drawn next to the threshold, where a decision is hardest
+    with mpmath.workdps(REF_DPS):
+        threshold = x * (1 + _mpf(thm.c) / mpmath.log(x) ** thm.e)
+        q = int(mpmath.floor(threshold)) + delta
+        want = threshold >= q
+    assert thm.threshold_exceeds(x, q) == want
+
+
+def test_no_global_precision_writes_from_threads(monkeypatch, store_10m):
+    calls = [
+        (certified_bound, (Fraction("1.0008968291"),)),
+        (certified_bound, (Fraction("1.00002"),)),
+        (cor_bound, (Fraction("1.00002"), AXLER)),
+        (cor_bound, (Fraction("1.000896829113357"), AXLER)),
+        (AXLER.admits, (Fraction("1.000896829113357"),)),
+        (DUSART.admits, (Fraction("1.0003"),)),
+        (TRUDGIAN.k_max_bound, ()),
+        # the two thin-margin gaps of WEAK on [58837, 1e6]
+        (WEAK.threshold_exceeds, (935603, 935621)),
+        (WEAK.threshold_exceeds, (935621, 935639)),
+        (AXLER.threshold_exceeds, (58837, 58889)),
+    ]
+    want = [f(*args) for f, args in calls]
+    report = verify_theorem(WEAK, 58837, 10**6, store_10m)
+
+    writes = []
+    ctx_type = type(mpmath.mp)
+    for name in ("prec", "dps"):
+        prop = getattr(ctx_type, name)
+
+        def record(ctx, value, prop=prop, name=name):
+            writes.append((name, value))
+            prop.fset(ctx, value)
+
+        monkeypatch.setattr(ctx_type, name, property(prop.fget, record))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda fa: fa[0](*fa[1]), calls * 20))
+        jobs4 = verify_theorem(WEAK, 58837, 10**6, store_10m, jobs=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert writes == []
+    assert got == want * 20
+    assert jobs4.violations == report.violations
+    assert jobs4.pairs_checked == report.pairs_checked
+
+
+def test_one_float_guard_literal():
+    src = Path(kramanujan.__file__).parent
+    literals = [
+        f"{path.name}: {line.strip()}"
+        for path in sorted(src.glob("*.py"))
+        for line in path.read_text().splitlines()
+        if re.search(r"\de-\d", line)
+    ]
+    assert literals == ["theorems.py: PRESCREEN_GUARD = 1e-9"]

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -96,7 +97,7 @@ def test_largest_violation_below_axler_x0(store_10m):
     p, q = hit
     assert p < 58837
     # consistency: the reported pair really violates the candidate interval
-    assert q > AXLER.threshold(float(p))
+    assert q > p * (1 + float(AXLER.c) / math.log(p) ** AXLER.e)
 
 
 def test_largest_violation_none_for_generous_allowance(store_10m):
