@@ -9,7 +9,6 @@ from .core import (
     certified_bound,
     cor_bound,
     first_k_ramanujan,
-    is_first_k_ramanujan,
     parse_k,
 )
 from .errors import (
@@ -46,7 +45,6 @@ __all__ = [
     "certified_bound",
     "cor_bound",
     "first_k_ramanujan",
-    "is_first_k_ramanujan",
     "largest_violation",
     "parse_k",
     "sieve_upto",

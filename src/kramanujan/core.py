@@ -72,22 +72,6 @@ def cor_bound(k: Fraction, thm: GapTheorem) -> int:
     return thm.corollary_bound(k)
 
 
-def _max_ratio_index(store: PrimeStore, k: Fraction, hi_index: int) -> int:
-    """Largest n in [2, hi_index] with p_n/p_{n-1} > k exactly, else 1.
-
-    Double-precision prescreen over the whole range, exact big-int
-    confirmation of candidates from the top down.
-    """
-    primes = store.primes[:hi_index]
-    ratios = np.divide(primes[1:], primes[:-1])
-    candidates = np.flatnonzero(ratios >= float(k) * (1.0 - PRESCREEN_GUARD))
-    num, den = k.numerator, k.denominator
-    for j in reversed(candidates.tolist()):
-        if int(primes[j + 1]) * den > int(primes[j]) * num:
-            return j + 2  # ratio index n is 1-based: p_n / p_{n-1}
-    return 1
-
-
 def certified_bound(k: Fraction) -> int:
     """Smallest certified upper bound for R_1^(k) over the built-in theorems.
 
@@ -112,9 +96,10 @@ def certified_bound(k: Fraction) -> int:
 def first_k_ramanujan(k: Fraction, store: PrimeStore | None = None) -> tuple[int, int]:
     """R_1^(k) and its 1-based prime index.
 
-    The answer is p_m for m = max{n >= 2 | p_n/p_{n-1} > k}, or 2 when no
-    gap ratio exceeds k; past the certified bound no ratio exceeds k, so
-    only the primes up to it are searched.
+    The answer is p_m for m = max{n >= 2 | p_n/p_{n-1} > k}, the last row
+    of the record table above k, or 2 when no gap ratio exceeds k; past the
+    certified bound no ratio exceeds k, so only the primes up to it are
+    searched.
     """
     bound = certified_bound(k)
     if store is None:
@@ -123,21 +108,8 @@ def first_k_ramanujan(k: Fraction, store: PrimeStore | None = None) -> tuple[int
         raise InsufficientStoreError(
             f"store limit {store.limit} below certified bound {bound} for k = {k}"
         )
-    m = _max_ratio_index(store, k, store.prime_count(bound))
-    return store.nth_prime(m), m
-
-
-def is_first_k_ramanujan(N: int, k: Fraction, store: PrimeStore) -> bool:
-    """Characterization check: p_{n+1}/p_n <= k for all n >= N within the
-    store, and p_N/p_{N-1} > k (vacuous for N = 1)."""
-    if not 1 <= N <= store.count - 1:
-        raise RangeError(f"index {N} outside 1..{store.count - 1}")
-    bound = certified_bound(k)
-    if store.limit < bound:
-        raise InsufficientStoreError(
-            f"store limit {store.limit} below certified bound {bound} for k = {k}"
-        )
-    return _max_ratio_index(store, k, store.count) == N
+    rows = breakpoints(k, store.prime_count(bound), store)
+    return (rows[-1].prime, rows[-1].index) if rows else (2, 1)
 
 
 def brute_force_R(
@@ -198,16 +170,28 @@ def breakpoints(
     Entry a is kept iff p_a/p_{a-1} beats every later ratio in range and
     exceeds k_min strictly.  Output is sorted by index, so ratios strictly
     decrease along the list.
+
+    Float prescreen, then exact confirmation: a float ratio is the correctly
+    rounded quotient of two integers below 2^53, and rounding is monotone,
+    so every exact record keeps a float ratio equal to the float maximum of
+    the ratios after it.  Only those candidates reach the big-int check.
     """
     if not 2 <= index_limit <= store.count:
         raise RangeError(f"index limit {index_limit} outside 2..{store.count}")
-    primes = store.primes[:index_limit].tolist()
+    primes = store.primes[:index_limit]
+    ratios = np.divide(primes[1:], primes[:-1])
+    # every gap ratio is below 2 (Bertrand), and a huge k_min overflows a float
+    cut = float(min(k_min, 2)) * (1.0 - PRESCREEN_GUARD)
+    near = np.flatnonzero(ratios >= cut)
+    r = ratios[near]
+    del ratios
+    candidates = near[r == np.maximum.accumulate(r[::-1])[::-1]]
     out: list[BreakpointEntry] = []
     best_num, best_den = k_min.numerator, k_min.denominator  # ratio to beat
-    for a in range(index_limit, 1, -1):
-        pa, pa_prev = primes[a - 1], primes[a - 2]
+    for j in reversed(candidates.tolist()):
+        pa, pa_prev = int(primes[j + 1]), int(primes[j])
         if pa * best_den > best_num * pa_prev:
-            out.append(BreakpointEntry(a, pa, pa_prev, Fraction(pa, pa_prev)))
+            out.append(BreakpointEntry(j + 2, pa, pa_prev, Fraction(pa, pa_prev)))
             best_num, best_den = pa, pa_prev
     out.reverse()
     return out

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -94,7 +95,10 @@ def sieve_upto(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> PrimeStore:
 
     base = _small_sieve(int(limit**0.5) + 1)
     odd_base = base[base != 2]
-    chunks = [np.array([2], dtype=np.int64)]
+    # Rosser-Schoenfeld: pi(x) < 1.25506 x / log x for x > 1.
+    out = np.empty(int(1.25506 * limit / math.log(limit)) + 1, dtype=np.int64)
+    out[0] = 2
+    count = 1
 
     span = 2 * _SEGMENT_ODDS
     low = 3
@@ -109,7 +113,12 @@ def sieve_upto(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> PrimeStore:
             if start >= high:
                 continue
             mask[(start - low) // 2 :: p] = False
-        chunks.append(low + 2 * np.flatnonzero(mask).astype(np.int64))
+        found = np.flatnonzero(mask)
+        found *= 2  # in place: one temporary per segment
+        found += low
+        out[count : count + len(found)] = found
+        count += len(found)
         low = high
 
-    return PrimeStore(limit, np.concatenate(chunks))
+    out.resize(count)  # in place: no view of ``out`` may exist here
+    return PrimeStore(limit, out)

@@ -1,5 +1,8 @@
+import importlib
+import importlib.util
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -241,3 +244,18 @@ def test_sieve_budget_exit_5(capsys, argv):
 
 def test_unknown_subcommand_usage(capsys):
     assert run(capsys, "frobnicate")[0] == 1
+
+
+def test_trace_targets_resolve():
+    # perfbench/trace_cli.py wraps these names; a missing one makes every
+    # traced benchmark call fail
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "trace_cli.py"
+    spec = importlib.util.spec_from_file_location("trace_cli", path)
+    trace_cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_cli)
+    assert trace_cli.TARGETS
+    for _, module_name, attr in trace_cli.TARGETS:
+        target = importlib.import_module(module_name)
+        for part in attr.split("."):
+            target = getattr(target, part)
+        assert callable(target), (module_name, attr)

@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kramanujan import (
     AXLER,
     TRUDGIAN,
+    BreakpointEntry,
     DomainError,
     InconclusiveError,
     InsufficientStoreError,
@@ -18,11 +21,37 @@ from kramanujan import (
     certified_bound,
     cor_bound,
     first_k_ramanujan,
-    is_first_k_ramanujan,
     parse_k,
     sieve_upto,
 )
 from kramanujan.core import k_equals_gap_ratio
+
+
+def reference_breakpoints(k_min, index_limit, store):
+    """Exact right-to-left record loop over every index, no prescreen."""
+    primes = store.primes[:index_limit].tolist()
+    out = []
+    best_num, best_den = k_min.numerator, k_min.denominator  # ratio to beat
+    for a in range(index_limit, 1, -1):
+        pa, pa_prev = primes[a - 1], primes[a - 2]
+        if pa * best_den > best_num * pa_prev:
+            out.append(BreakpointEntry(a, pa, pa_prev, Fraction(pa, pa_prev)))
+            best_num, best_den = pa, pa_prev
+    out.reverse()
+    return out
+
+
+def characterizes(m, k, store):
+    """p_m/p_{m-1} > k (vacuous for m = 1) and no later ratio in the store
+    exceeds k, by exact cross-multiplication."""
+    ps = store.primes.tolist()
+
+    def exceeds(a):
+        return ps[a - 1] * k.denominator > k.numerator * ps[a - 2]
+
+    return (m == 1 or exceeds(m)) and not any(
+        exceeds(a) for a in range(m + 1, len(ps) + 1)
+    )
 
 
 class TestParseK:
@@ -182,26 +211,20 @@ class TestBruteForce:
 
 class TestCharacterization:
     def test_paper_index(self, store_60k):
-        assert is_first_k_ramanujan(5950, parse_k("1.0008968291"), store_60k)
+        k = parse_k("1.0008968291")
+        assert characterizes(5950, k, store_60k)
+        assert first_k_ramanujan(k, store_60k) == (58889, 5950)
 
     def test_off_by_one_fails(self, store_60k):
-        assert not is_first_k_ramanujan(5949, parse_k("1.0008968291"), store_60k)
+        assert not characterizes(5949, parse_k("1.0008968291"), store_60k)
 
     def test_condition_b_fails(self, store_60k):
         # p_3/p_2 = 5/3 < 1.7
-        assert not is_first_k_ramanujan(3, parse_k("1.7"), store_60k)
+        assert not characterizes(3, parse_k("1.7"), store_60k)
 
     def test_index_one_vacuous(self, store_60k):
-        assert is_first_k_ramanujan(1, Fraction(2), store_60k)
-
-    def test_range_errors(self, store_60k):
-        for bad in (0, store_60k.count):
-            with pytest.raises(RangeError):
-                is_first_k_ramanujan(bad, Fraction(2), store_60k)
-
-    def test_insufficient_store(self):
-        with pytest.raises(InsufficientStoreError):
-            is_first_k_ramanujan(5, parse_k("1.01"), sieve_upto(1000))
+        assert characterizes(1, Fraction(2), store_60k)
+        assert first_k_ramanujan(Fraction(2), store_60k) == (2, 1)
 
 
 class TestBreakpoints:
@@ -223,10 +246,32 @@ class TestBreakpoints:
 
     def test_strictness_at_k_min(self, store_60k):
         assert breakpoints(Fraction(5, 3), 5950, store_60k) == []
+        assert breakpoints(Fraction(10**400), 5950, store_60k) == []  # > 1e308
 
     def test_range_error(self, store_60k):
         with pytest.raises(RangeError):
             breakpoints(Fraction(2), store_60k.count + 1, store_60k)
+
+
+def _record_k_min(data, store):
+    way = data.draw(st.sampled_from(["near_one", "gap_ratio", "no_rows"]))
+    if way == "near_one":  # float near-ties among the ratios close to 1
+        t = data.draw(st.floats(min_value=math.log(1e-9), max_value=0.0))
+        return 1 + Fraction(math.exp(t))
+    if way == "gap_ratio":  # the closed end of a breakpoint interval
+        n = data.draw(st.integers(min_value=2, max_value=store.count))
+        return Fraction(store.nth_prime(n), store.nth_prime(n - 1))
+    return data.draw(st.fractions(min_value=Fraction(5, 3), max_value=3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_breakpoints_match_reference(store_10m, data):
+    k_min = _record_k_min(data, store_10m)
+    index_limit = data.draw(st.integers(min_value=2, max_value=store_10m.count))
+    assert breakpoints(k_min, index_limit, store_10m) == reference_breakpoints(
+        k_min, index_limit, store_10m
+    )
 
 
 def test_k_equals_gap_ratio_flag(store_60k):

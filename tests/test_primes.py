@@ -55,7 +55,7 @@ def test_sieve_budget():
         sieve_upto(1000, budget=100)
 
 
-@pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 100, 1000, 100_000])
+@pytest.mark.parametrize("limit", [*range(101), 1000, 100_000])
 def test_sieve_matches_trial_division(limit):
     assert sieve_upto(limit).primes.tolist() == trial_division_primes(limit)
 
@@ -65,6 +65,17 @@ def test_sieve_independent_of_segment_size(monkeypatch):
     for odds in (8, 100, 4097):
         monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", odds)
         assert sieve_upto(30_000).primes.tolist() == expected
+
+
+def test_sieve_limits_straddling_segments(monkeypatch):
+    # every limit up to 300 falls just before, on or after a seam; the
+    # output array is sized by pi(x) < 1.25506 x/log x, tightest at x = 113
+    expected = trial_division_primes(300)
+    for odds in (1, 8, 56):
+        monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", odds)
+        for limit in range(2, 301):
+            want = [p for p in expected if p <= limit]
+            assert sieve_upto(limit).primes.tolist() == want, (odds, limit)
 
 
 def test_prime_count_basics(store_60k):

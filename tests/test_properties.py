@@ -13,7 +13,6 @@ from kramanujan import (
     certified_bound,
     cor_bound,
     first_k_ramanujan,
-    is_first_k_ramanujan,
 )
 from kramanujan.core import shared_store
 
@@ -44,11 +43,17 @@ def test_monotone_in_k(k1, k2):
 
 
 @settings(max_examples=60, deadline=None)
-@given(ks)
-def test_characterization_closure(k):
-    store = shared_store(FAST_BOUND)
-    _, index = first_k_ramanujan(k)
-    assert is_first_k_ramanujan(index, k, store)
+@given(k=ks)
+def test_characterization_closure(store_60k, k):
+    # p_m/p_{m-1} > k (vacuous for m = 1), and no later ratio exceeds k
+    ps = store_60k.primes.tolist()
+    _, m = first_k_ramanujan(k, store_60k)
+    above = [
+        a
+        for a in range(2, len(ps) + 1)
+        if ps[a - 1] * k.denominator > k.numerator * ps[a - 2]
+    ]
+    assert max(above, default=1) == m
 
 
 @settings(max_examples=40, deadline=None)

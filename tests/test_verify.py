@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import kramanujan.verify as verify_mod
 from kramanujan import (
     AXLER,
     DUSART,
@@ -56,12 +57,19 @@ def test_range_errors(store_10m):
         verify_theorem(AXLER, 58837, store_10m.limit + 1, store_10m)
 
 
-def test_determinism_and_jobs_merge(store_10m):
-    a = verify_theorem(CUSTOM_WEAK, 58837, 10**6, store_10m)
-    b = verify_theorem(CUSTOM_WEAK, 58837, 10**6, store_10m)
-    c = verify_theorem(CUSTOM_WEAK, 58837, 10**6, store_10m, jobs=4)
-    assert a.violations == b.violations == c.violations
-    assert a.pairs_checked == c.pairs_checked
+def test_determinism_and_jobs_merge(store_10m, monkeypatch):
+    # the store reaches past 10^6, so the pair 999983 -> 1000003 counts too
+    cases = [(CUSTOM_WEAK, 58837, 10**6, 36_276), (AXLER, AXLER.x0, 10**7, 0)]
+    expected = [verify_theorem(t, lo, hi, store_10m) for t, lo, hi, _ in cases]
+    # small slices put seams inside both ranges
+    monkeypatch.setattr(verify_mod, "_SCAN_PAIRS", 1000)
+    for (thm, lo, hi, count), want in zip(cases, expected):
+        assert len(want.violations) == count
+        assert want.violations == sorted(want.violations)
+        for jobs in (1, 2, 3):
+            got = verify_theorem(thm, lo, hi, store_10m, jobs=jobs)
+            assert got.violations == want.violations
+            assert got.pairs_checked == want.pairs_checked
 
 
 def test_float_margin_matches_full_recheck(store_10m):
