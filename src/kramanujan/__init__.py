@@ -14,7 +14,6 @@ from .core import (
 from .errors import (
     DomainError,
     InconclusiveError,
-    InsufficientStoreError,
     KRamanujanError,
     RangeError,
     ResourceLimitError,
@@ -22,7 +21,7 @@ from .errors import (
 )
 from .primes import PrimeStore, sieve_upto
 from .theorems import AXLER, BUILTIN_THEOREMS, DUSART, TRUDGIAN, GapTheorem
-from .verify import VerificationReport, largest_violation, verify_theorem
+from .verify import VerificationReport, verify_theorem
 
 __all__ = [
     "AXLER",
@@ -32,7 +31,6 @@ __all__ = [
     "DomainError",
     "GapTheorem",
     "InconclusiveError",
-    "InsufficientStoreError",
     "KRamanujanError",
     "PrimeStore",
     "RangeError",
@@ -45,7 +43,6 @@ __all__ = [
     "certified_bound",
     "cor_bound",
     "first_k_ramanujan",
-    "largest_violation",
     "parse_k",
     "sieve_upto",
     "verify_theorem",

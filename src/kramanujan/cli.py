@@ -46,12 +46,8 @@ def _resolve_theorem(args) -> GapTheorem:
     if args.theorem != "custom":
         return BUILTIN_THEOREMS[args.theorem]
     if args.x0 is None or args.c is None or args.e is None:
-        raise _UsageError("custom theorem requires --x0, --c and --e")
+        raise ValueError("custom theorem requires --x0, --c and --e")
     return GapTheorem("custom", args.x0, Fraction(args.c), args.e)
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _emit(record: dict) -> None:
@@ -62,14 +58,14 @@ def _emit(record: dict) -> None:
 def cmd_compute(args) -> int:
     k = core.parse_k(args.k)
     if args.n < 1:
-        raise _UsageError("--n must be >= 1")
+        raise ValueError("--n must be >= 1")
     method = args.method
     if method == "auto":
         method = "oracle" if args.n > 1 else "table"
     if method == "oracle" and args.scan_limit is None:
-        raise _UsageError("--method oracle (and any --n >= 2) requires --scan-limit")
+        raise ValueError("--method oracle (and any --n >= 2) requires --scan-limit")
     if args.n > 1 and method != "oracle":
-        raise _UsageError("--n >= 2 is only available via the oracle")
+        raise ValueError("--n >= 2 is only available via the oracle")
 
     record = {
         "schema": "compute",
@@ -80,18 +76,16 @@ def cmd_compute(args) -> int:
     }
     if method == "table":
         bound = core.certified_bound(k)
-        store = core.shared_store(bound)
-        prime, index = core.first_k_ramanujan(k, store)
+        prime, index = core.first_k_ramanujan(k)
         record["prime"] = prime
         record["index"] = index
         record["certified_bound"] = bound
-        if core.k_equals_gap_ratio(k, store, store.count):
+        if core.k_equals_gap_ratio(k, core.shared_store(bound)):
             record["k_equals_gap_ratio"] = True
     else:
-        store = core.shared_store(args.scan_limit)
-        prime = core.brute_force_R(k, args.n, args.scan_limit, store)
+        prime = core.brute_force_R(k, args.n, args.scan_limit)
         record["prime"] = prime
-        record["index"] = store.prime_count(prime)
+        record["index"] = core.shared_store(args.scan_limit).prime_count(prime)
         record["caveat"] = f"oracle result; verified up to scan limit {args.scan_limit}"
     _emit(record)
     return EXIT_OK
@@ -116,7 +110,7 @@ def cmd_bound(args) -> int:
 def cmd_table(args) -> int:
     k_min = core.parse_k(args.k_min)
     if args.index_limit < 2:
-        raise _UsageError("--index-limit must be >= 2")
+        raise ValueError("--index-limit must be >= 2")
     store = core.shared_store(_table_sieve_limit(args.index_limit))
     rows = core.breakpoints(k_min, args.index_limit, store)
     if args.format == "csv":
@@ -160,9 +154,9 @@ def _table_sieve_limit(index_limit: int) -> int:
 def cmd_verify(args) -> int:
     thm = _resolve_theorem(args)
     if args.frm > args.to:
-        raise _UsageError(f"--from {args.frm} exceeds --to {args.to}")
+        raise ValueError(f"--from {args.frm} exceeds --to {args.to}")
     if args.jobs is not None and args.jobs < 1:
-        raise _UsageError("--jobs must be >= 1")
+        raise ValueError("--jobs must be >= 1")
     store = sieve_upto(args.to)
     report = verify_theorem(thm, args.frm, args.to, store, jobs=args.jobs or 1)
     _emit(
@@ -233,9 +227,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as e:
         return int(e.code or 0)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,13 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InconclusiveError,
-    InsufficientStoreError,
-    RangeError,
-    UnsupportedRangeError,
-)
+from .errors import DomainError, InconclusiveError, RangeError, UnsupportedRangeError
 from .primes import DEFAULT_SIEVE_BUDGET, PrimeStore, sieve_upto
 from .theorems import BUILTIN_THEOREMS, PRESCREEN_GUARD, GapTheorem
 
@@ -29,7 +23,8 @@ _shared: PrimeStore | None = None
 def parse_k(text: str) -> Fraction:
     """Parse a threshold k from a decimal (<= 15 fractional digits) or 'p/q'.
 
-    Raises ValueError on malformed input, DomainError when k <= 1.
+    Raises ValueError on malformed input or a k past the float range,
+    DomainError when k <= 1.
     """
     m = _K_PATTERN.match(text)
     if not m:
@@ -37,6 +32,10 @@ def parse_k(text: str) -> Fraction:
     k = Fraction(m.group(1))
     if k <= 1:
         raise DomainError(f"threshold k must exceed 1, got {k}")
+    try:
+        float(k)
+    except OverflowError:
+        raise ValueError("threshold k is past the float range (1.8e308)") from None
     return k
 
 
@@ -82,7 +81,7 @@ def certified_bound(k: Fraction) -> int:
     if k <= 1:
         raise DomainError(f"threshold k must exceed 1, got {k}")
     bound = min(
-        cor_bound(k, thm) if thm.admits(k) else thm.k_max_bound()
+        thm.corollary_bound(k) if thm.admits(k) else thm.k_max_bound()
         for thm in BUILTIN_THEOREMS.values()
     )
     if bound > DEFAULT_SIEVE_BUDGET:
@@ -93,28 +92,21 @@ def certified_bound(k: Fraction) -> int:
     return bound
 
 
-def first_k_ramanujan(k: Fraction, store: PrimeStore | None = None) -> tuple[int, int]:
+def first_k_ramanujan(k: Fraction) -> tuple[int, int]:
     """R_1^(k) and its 1-based prime index.
 
     The answer is p_m for m = max{n >= 2 | p_n/p_{n-1} > k}, the last row
     of the record table above k, or 2 when no gap ratio exceeds k; past the
     certified bound no ratio exceeds k, so only the primes up to it are
-    searched.
+    searched, in the shared store.
     """
     bound = certified_bound(k)
-    if store is None:
-        store = shared_store(bound)
-    elif store.limit < bound:
-        raise InsufficientStoreError(
-            f"store limit {store.limit} below certified bound {bound} for k = {k}"
-        )
+    store = shared_store(bound)
     rows = breakpoints(k, store.prime_count(bound), store)
     return (rows[-1].prime, rows[-1].index) if rows else (2, 1)
 
 
-def brute_force_R(
-    k: Fraction, n: int, scan_limit: int, store: PrimeStore | None = None
-) -> int:
+def brute_force_R(k: Fraction, n: int, scan_limit: int) -> int:
     """Definition-level oracle for R_n^(k) by exhaustive critical-point scan.
 
     The deficiency D(x) = pi(x) - pi(x/k) can only drop where pi(x/k) jumps,
@@ -129,12 +121,7 @@ def brute_force_R(
         raise DomainError(f"threshold k must exceed 1, got {k}")
     if scan_limit < 4:
         raise RangeError(f"scan limit {scan_limit} too small")
-    if store is None:
-        store = shared_store(scan_limit)
-    elif store.limit < scan_limit:
-        raise InsufficientStoreError(
-            f"store limit {store.limit} below scan limit {scan_limit}"
-        )
+    store = shared_store(scan_limit)
     primes = store.primes
     num, den = k.numerator, k.denominator
     if n > store.prime_count(scan_limit):
@@ -197,13 +184,13 @@ def breakpoints(
     return out
 
 
-def k_equals_gap_ratio(k: Fraction, store: PrimeStore, hi_index: int) -> bool:
-    """True when k is exactly some gap ratio p_n/p_{n-1}, n <= hi_index.
+def k_equals_gap_ratio(k: Fraction, store: PrimeStore) -> bool:
+    """True when k is exactly some gap ratio p_n/p_{n-1} in the store.
 
     Boundary thresholds sit on the closed end of a breakpoint interval;
     callers should surface this in output.  Consecutive primes are coprime,
     so this holds iff k's lowest terms are p_n over p_{n-1}.
     """
-    primes = store.primes[: min(hi_index, store.count)]
+    primes = store.primes
     j = int(np.searchsorted(primes, k.denominator))
     return primes[j : j + 2].tolist() == [k.denominator, k.numerator]

@@ -23,7 +23,3 @@ class ResourceLimitError(KRamanujanError):
 
 class InconclusiveError(KRamanujanError):
     """An oracle scan cannot certify its answer within the given limit."""
-
-
-class InsufficientStoreError(KRamanujanError):
-    """The supplied prime store does not reach a certified bound."""

@@ -84,12 +84,14 @@ class PrimeStore:
         return f"PrimeStore(limit={self.limit}, count={self.count})"
 
 
-def sieve_upto(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> PrimeStore:
+def sieve_upto(limit: int) -> PrimeStore:
     """All primes <= limit via an odd-only segmented sieve."""
     if limit < 0:
         raise RangeError("sieve limit must be non-negative")
-    if limit > budget:
-        raise ResourceLimitError(f"sieve limit {limit} exceeds budget {budget}")
+    if limit > DEFAULT_SIEVE_BUDGET:
+        raise ResourceLimitError(
+            f"sieve limit {limit} exceeds budget {DEFAULT_SIEVE_BUDGET}"
+        )
     if limit < 2:
         return PrimeStore(limit, np.empty(0, dtype=np.int64))
 

@@ -11,11 +11,10 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, RangeError
+from .errors import DomainError
 from .primes import PrimeStore
 from .theorems import PRESCREEN_GUARD, GapTheorem
 
@@ -67,8 +66,6 @@ def verify_theorem(
         raise DomainError(
             f"scan start {lo} is below the theorem's validity threshold {thm.x0}"
         )
-    if not lo <= hi <= store.limit:
-        raise RangeError(f"bad verification range [{lo}, {hi}]")
     start = time.perf_counter()
     p, q = store.gap_arrays(lo, hi)
     step = _SCAN_PAIRS
@@ -86,25 +83,3 @@ def verify_theorem(
         violations=violations,
         elapsed=time.perf_counter() - start,
     )
-
-
-def largest_violation(
-    c: Fraction,
-    e: int,
-    lo: int,
-    hi: int,
-    store: PrimeStore,
-) -> tuple[int, int] | None:
-    """Largest prime p in [lo, hi] whose gap breaks q <= p(1 + c/log^e p).
-
-    A hit means the candidate parameters (c, e) only hold from some x0 > p.
-    """
-    if not 2 <= lo <= hi <= store.limit:
-        raise RangeError(f"bad scan range [{lo}, {hi}]")
-    if c <= 0 or e < 1:
-        raise DomainError(f"invalid candidate parameters c={c}, e={e}")
-    probe = GapTheorem("candidate", 2, c, e)
-    p, q = store.gap_arrays(lo, hi)
-    inside = p >= lo  # threshold is taken at x = p, so straddle is excluded
-    hits = _scan_chunk(probe, p[inside], q[inside], lo=2)  # ascending in p
-    return hits[-1][:2] if hits else None

@@ -1,6 +1,9 @@
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -244,6 +247,43 @@ def test_sieve_budget_exit_5(capsys, argv):
 
 def test_unknown_subcommand_usage(capsys):
     assert run(capsys, "frobnicate")[0] == 1
+
+
+HUGE_K = "1" + "0" * 309  # past the largest float, about 1.8e308
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--k", HUGE_K],
+        ["bound", "--k", HUGE_K, "--theorem", "axler"],
+        ["table", "--k-min", HUGE_K],
+    ],
+)
+def test_k_past_float_range_usage(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "float range" in err
+    assert "Traceback" not in err
+
+
+def test_module_entry_point_subprocess():
+    # the CLI as a fresh interpreter runs it, with the package on PYTHONPATH
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "kramanujan.cli", "compute", "--k", "1.0008968291"],
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["prime"] == 58889
 
 
 def test_trace_targets_resolve():

@@ -13,7 +13,6 @@ from kramanujan import (
     BreakpointEntry,
     DomainError,
     InconclusiveError,
-    InsufficientStoreError,
     RangeError,
     UnsupportedRangeError,
     breakpoints,
@@ -22,7 +21,6 @@ from kramanujan import (
     cor_bound,
     first_k_ramanujan,
     parse_k,
-    sieve_upto,
 )
 from kramanujan.core import k_equals_gap_ratio
 
@@ -175,10 +173,6 @@ class TestFirstKRamanujan:
             assert prime <= bound
             assert brute_force_R(k, 1, 2 * bound) == prime, f"k = {k}"
 
-    def test_supplied_store_too_small(self):
-        with pytest.raises(InsufficientStoreError):
-            first_k_ramanujan(Fraction("1.01"), store=sieve_upto(1000))
-
 
 class TestBruteForce:
     def test_remark_a_case(self):
@@ -213,7 +207,7 @@ class TestCharacterization:
     def test_paper_index(self, store_60k):
         k = parse_k("1.0008968291")
         assert characterizes(5950, k, store_60k)
-        assert first_k_ramanujan(k, store_60k) == (58889, 5950)
+        assert first_k_ramanujan(k) == (58889, 5950)
 
     def test_off_by_one_fails(self, store_60k):
         assert not characterizes(5949, parse_k("1.0008968291"), store_60k)
@@ -224,7 +218,7 @@ class TestCharacterization:
 
     def test_index_one_vacuous(self, store_60k):
         assert characterizes(1, Fraction(2), store_60k)
-        assert first_k_ramanujan(Fraction(2), store_60k) == (2, 1)
+        assert first_k_ramanujan(Fraction(2)) == (2, 1)
 
 
 class TestBreakpoints:
@@ -275,5 +269,5 @@ def test_breakpoints_match_reference(store_10m, data):
 
 
 def test_k_equals_gap_ratio_flag(store_60k):
-    assert k_equals_gap_ratio(Fraction(127, 113), store_60k, store_60k.count)
-    assert not k_equals_gap_ratio(Fraction("1.1"), store_60k, store_60k.count)
+    assert k_equals_gap_ratio(Fraction(127, 113), store_60k)
+    assert not k_equals_gap_ratio(Fraction("1.1"), store_60k)

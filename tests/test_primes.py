@@ -5,6 +5,7 @@ import pytest
 
 import kramanujan.primes as primes_mod
 from kramanujan import DomainError, RangeError, ResourceLimitError, sieve_upto
+from kramanujan.primes import DEFAULT_SIEVE_BUDGET
 
 
 def trial_division_primes(limit: int) -> list[int]:
@@ -51,8 +52,9 @@ def test_sieve_negative_limit():
 
 
 def test_sieve_budget():
+    # raises before allocating anything
     with pytest.raises(ResourceLimitError):
-        sieve_upto(1000, budget=100)
+        sieve_upto(DEFAULT_SIEVE_BUDGET + 1)
 
 
 @pytest.mark.parametrize("limit", [*range(101), 1000, 100_000])

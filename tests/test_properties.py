@@ -47,7 +47,7 @@ def test_monotone_in_k(k1, k2):
 def test_characterization_closure(store_60k, k):
     # p_m/p_{m-1} > k (vacuous for m = 1), and no later ratio exceeds k
     ps = store_60k.primes.tolist()
-    _, m = first_k_ramanujan(k, store_60k)
+    _, m = first_k_ramanujan(k)
     above = [
         a
         for a in range(2, len(ps) + 1)

@@ -10,11 +10,21 @@ from kramanujan import (
     DomainError,
     GapTheorem,
     RangeError,
-    largest_violation,
     verify_theorem,
 )
 
 CUSTOM_WEAK = GapTheorem("custom", 58837, Fraction("0.05"), 3)
+
+
+def largest_violation(c, e, lo, hi, store):
+    """Largest prime p in [lo, hi] whose gap breaks q <= p(1 + c/log^e p),
+    or None.  A hit means the candidate parameters (c, e) only hold from
+    some x0 > p.  The store's gap_arrays checks the range."""
+    probe = GapTheorem("candidate", 2, c, e)
+    p, q = store.gap_arrays(lo, hi)
+    inside = p >= lo  # threshold is taken at x = p, so straddle is excluded
+    hits = verify_mod._scan_chunk(probe, p[inside], q[inside], lo=2)  # ascending
+    return hits[-1][:2] if hits else None
 
 
 def test_axler_holds_to_10m(store_10m):
