@@ -47,7 +47,10 @@ def _resolve_theorem(args) -> GapTheorem:
         return BUILTIN_THEOREMS[args.theorem]
     if args.x0 is None or args.c is None or args.e is None:
         raise ValueError("custom theorem requires --x0, --c and --e")
-    return GapTheorem("custom", args.x0, Fraction(args.c), args.e)
+    try:
+        return GapTheorem("custom", args.x0, Fraction(args.c), args.e)
+    except ZeroDivisionError:
+        raise ValueError(f"--c {args.c} has a zero denominator") from None
 
 
 def _emit(record: dict) -> None:

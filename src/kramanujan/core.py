@@ -11,9 +11,9 @@ import numpy as np
 
 from .errors import DomainError, InconclusiveError, RangeError, UnsupportedRangeError
 from .primes import DEFAULT_SIEVE_BUDGET, PrimeStore, sieve_upto
-from .theorems import BUILTIN_THEOREMS, PRESCREEN_GUARD, GapTheorem
+from .theorems import BUILTIN_THEOREMS, GapTheorem
 
-_K_PATTERN = re.compile(r"^\s*(\d+(?:\.\d{1,15})?|\d+/\d+)\s*$")
+_K_PATTERN = re.compile(r"^\s*(\d+(?:\.\d{1,15})?|\d+/0*[1-9]\d*)\s*$")
 
 # The largest sieve built so far.  A bigger store answers any smaller
 # request identically because all searches are index-bounded.
@@ -158,18 +158,17 @@ def breakpoints(
     exceeds k_min strictly.  Output is sorted by index, so ratios strictly
     decrease along the list.
 
-    Float prescreen, then exact confirmation: a float ratio is the correctly
-    rounded quotient of two integers below 2^53, and rounding is monotone,
-    so every exact record keeps a float ratio equal to the float maximum of
-    the ratios after it.  Only those candidates reach the big-int check.
+    Float prescreen, then exact confirmation: float(k_min) and each float
+    ratio of two integers below 2^53 are correctly rounded, and rounding is
+    monotone, so a record's float ratio is >= float(k_min) and equals the
+    float maximum of the ratios after it; only those reach the big-int check.
     """
     if not 2 <= index_limit <= store.count:
         raise RangeError(f"index limit {index_limit} outside 2..{store.count}")
     primes = store.primes[:index_limit]
     ratios = np.divide(primes[1:], primes[:-1])
     # every gap ratio is below 2 (Bertrand), and a huge k_min overflows a float
-    cut = float(min(k_min, 2)) * (1.0 - PRESCREEN_GUARD)
-    near = np.flatnonzero(ratios >= cut)
+    near = np.flatnonzero(ratios >= float(min(k_min, 2)))
     r = ratios[near]
     del ratios
     candidates = near[r == np.maximum.accumulate(r[::-1])[::-1]]

@@ -17,18 +17,6 @@ DEFAULT_SIEVE_BUDGET = 2_000_000_000
 _SEGMENT_ODDS = 1 << 22
 
 
-def _small_sieve(limit: int) -> np.ndarray:
-    """Plain sieve for the base primes up to sqrt of the real limit."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    is_prime = np.ones(limit + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, int(limit**0.5) + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = False
-    return np.flatnonzero(is_prime).astype(np.int64)
-
-
 class PrimeStore:
     """Immutable, 1-indexed table of all primes up to ``limit``.
 
@@ -71,10 +59,7 @@ class PrimeStore:
             raise RangeError(f"bad gap range [{lo}, {hi}] for limit {self.limit}")
         # 0-based index of the first pair: the prime starting the gap that
         # covers lo (straddling pair included).
-        lo_idx = max(int(np.searchsorted(self.primes, lo, side="left")) - 1, 0)
-        if self.primes[lo_idx] < lo and lo_idx + 1 < self.count:
-            if self.primes[lo_idx + 1] <= lo:
-                lo_idx += 1
+        lo_idx = max(int(np.searchsorted(self.primes, lo, side="right")) - 1, 0)
         # pairs run while p_j <= hi and p_{j+1} is in the store
         hi_idx = int(np.searchsorted(self.primes, hi, side="right"))
         hi_idx = min(hi_idx, self.count - 1)
@@ -85,18 +70,21 @@ class PrimeStore:
 
 
 def sieve_upto(limit: int) -> PrimeStore:
-    """All primes <= limit via an odd-only segmented sieve."""
+    """All primes <= limit, as a store."""
     if limit < 0:
         raise RangeError("sieve limit must be non-negative")
     if limit > DEFAULT_SIEVE_BUDGET:
         raise ResourceLimitError(
             f"sieve limit {limit} exceeds budget {DEFAULT_SIEVE_BUDGET}"
         )
-    if limit < 2:
-        return PrimeStore(limit, np.empty(0, dtype=np.int64))
+    return PrimeStore(limit, _sieve(limit))
 
-    base = _small_sieve(int(limit**0.5) + 1)
-    odd_base = base[base != 2]
+
+def _sieve(limit: int) -> np.ndarray:
+    """Primes <= limit, odd-only and segmented; base primes from _sieve(isqrt)."""
+    if limit < 2:
+        return np.empty(0, dtype=np.int64)
+    odd_base = _sieve(math.isqrt(limit))[1:]
     # Rosser-Schoenfeld: pi(x) < 1.25506 x / log x for x > 1.
     out = np.empty(int(1.25506 * limit / math.log(limit)) + 1, dtype=np.int64)
     out[0] = 2
@@ -122,5 +110,4 @@ def sieve_upto(limit: int) -> PrimeStore:
         count += len(found)
         low = high
 
-    out.resize(count)  # in place: no view of ``out`` may exist here
-    return PrimeStore(limit, out)
+    return out[:count]  # a view: the unwritten tail is never paged in

@@ -19,9 +19,9 @@ from mpmath.libmp import to_rational
 
 from .errors import DomainError, UnsupportedRangeError
 
-# Relative guard of every float64 prescreen: a float comparison decides
-# only outside it.  For integers below 2^53 the float64 error of the
-# prescreened expressions (gap ratios, x(1 + c/log^e x)) is under 10^-13.
+# Relative guard of verify's float64 prescreen of x(1 + c/log^e x), its only
+# user: a float comparison decides only outside it.  For integers below 2^53
+# the float64 error of that logarithmic threshold is under 10^-13.
 PRESCREEN_GUARD = 1e-9
 
 

@@ -268,14 +268,19 @@ def test_k_past_float_range_usage(capsys, argv):
     assert "Traceback" not in err
 
 
-def test_module_entry_point_subprocess():
-    # the CLI as a fresh interpreter runs it, with the package on PYTHONPATH
+@pytest.mark.parametrize("profile", [False, True], ids=["plain", "cprofile"])
+def test_module_entry_point_subprocess(tmp_path, profile):
+    # the CLI as a fresh interpreter runs it, with the package on PYTHONPATH,
+    # and under cProfile, which layer-by-layer timings rely on
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
     )
+    prefix = [sys.executable]
+    if profile:
+        prefix += ["-m", "cProfile", "-o", str(tmp_path / "cli.prof")]
     proc = subprocess.run(
-        [sys.executable, "-m", "kramanujan.cli", "compute", "--k", "1.0008968291"],
+        [*prefix, "-m", "kramanujan.cli", "compute", "--k", "1.0008968291"],
         cwd=root,
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
@@ -284,6 +289,25 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["prime"] == 58889
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--k", "3/0"],
+        ["table", "--k-min", "1/0"],
+        ["bound", "--k", "1.5", "--theorem", "custom", "--x0", "58837",
+         "--c", "1/0", "--e", "3"],
+        ["verify", "--theorem", "custom", "--x0", "58837", "--c", "1/0",
+         "--e", "3", "--from", "58837", "--to", "60000"],
+    ],
+)
+def test_zero_denominator_usage(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_trace_targets_resolve():

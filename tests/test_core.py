@@ -68,7 +68,9 @@ class TestParseK:
         with pytest.raises(DomainError):
             parse_k("1")
 
-    @pytest.mark.parametrize("text", ["", "abc", "1.2e3", "-1.5", "1.1234567890123456"])
+    @pytest.mark.parametrize(
+        "text", ["", "abc", "1.2e3", "-1.5", "1.1234567890123456", "3/0", "1/000"]
+    )
     def test_malformed(self, text):
         with pytest.raises(ValueError):
             parse_k(text)
@@ -245,6 +247,15 @@ class TestBreakpoints:
     def test_range_error(self, store_60k):
         with pytest.raises(RangeError):
             breakpoints(Fraction(2), store_60k.count + 1, store_60k)
+
+    def test_float_cut_at_the_last_row(self, store_60k):
+        # k rounds to the same float as the 44th row's ratio 58889/58831,
+        # yet lies below it, so the unguarded float cut must keep that row
+        last = Fraction(58889, 58831)
+        below = last - Fraction(1, 10**18)
+        assert float(below) == float(last)
+        assert len(breakpoints(below, 5950, store_60k)) == 44
+        assert len(breakpoints(last, 5950, store_60k)) == 43
 
 
 def _record_k_min(data, store):

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -62,6 +63,18 @@ def test_sieve_matches_trial_division(limit):
     assert sieve_upto(limit).primes.tolist() == trial_division_primes(limit)
 
 
+def test_sieve_under_a_tracer():
+    # debuggers, coverage and profilers hold extra frame references
+    expected = sieve_upto(10**5).primes.tolist()
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: None)
+    try:
+        traced = sieve_upto(10**5)
+    finally:
+        sys.settrace(previous)
+    assert traced.primes.tolist() == expected
+
+
 def test_sieve_independent_of_segment_size(monkeypatch):
     expected = sieve_upto(30_000).primes.tolist()
     for odds in (8, 100, 4097):
@@ -122,6 +135,7 @@ def test_nth_prime(store_60k):
 
 def test_gap_pairs_enumeration(store_60k):
     assert gap_pairs(store_60k, 2, 7) == [(2, 3), (3, 5), (5, 7), (7, 11)]
+    assert gap_pairs(store_60k, 3, 7) == [(3, 5), (5, 7), (7, 11)]
 
 
 def test_gap_pairs_straddle(store_60k):
@@ -134,6 +148,8 @@ def test_gap_pairs_straddle(store_60k):
 def test_gap_pairs_includes_pair_ending_at_58889(store_60k):
     pairs = gap_pairs(store_60k, 58830, 58889)
     assert (58831, 58889) in pairs
+    # lo on a prime starts there, not at the prime before it
+    assert gap_pairs(store_60k, 58831, 58889)[0] == (58831, 58889)
 
 
 def test_gap_pairs_bad_ranges(store_60k):
