@@ -268,17 +268,12 @@ def test_k_past_float_range_usage(capsys, argv):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("profile", [False, True], ids=["plain", "cprofile"])
-def test_module_entry_point_subprocess(tmp_path, profile):
-    # the CLI as a fresh interpreter runs it, with the package on PYTHONPATH,
-    # and under cProfile, which layer-by-layer timings rely on
+def run_module_entry_point(prefix):
+    # the CLI as a fresh interpreter runs it, with the package on PYTHONPATH
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
     )
-    prefix = [sys.executable]
-    if profile:
-        prefix += ["-m", "cProfile", "-o", str(tmp_path / "cli.prof")]
     proc = subprocess.run(
         [*prefix, "-m", "kramanujan.cli", "compute", "--k", "1.0008968291"],
         cwd=root,
@@ -289,6 +284,17 @@ def test_module_entry_point_subprocess(tmp_path, profile):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["prime"] == 58889
+
+
+def test_module_entry_point_subprocess():
+    run_module_entry_point([sys.executable])
+
+
+def test_module_entry_point_under_cprofile(tmp_path):
+    # layer-by-layer timings run the CLI under cProfile
+    run_module_entry_point(
+        [sys.executable, "-m", "cProfile", "-o", str(tmp_path / "cli.prof")]
+    )
 
 
 @pytest.mark.parametrize(
