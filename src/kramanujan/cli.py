@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -67,6 +68,8 @@ def cmd_compute(args) -> int:
         method = "oracle" if args.n > 1 else "table"
     if method == "oracle" and args.scan_limit is None:
         raise ValueError("--method oracle (and any --n >= 2) requires --scan-limit")
+    if method == "table" and args.scan_limit is not None:
+        raise ValueError("--scan-limit applies only to --method oracle")
     if args.n > 1 and method != "oracle":
         raise ValueError("--n >= 2 is only available via the oracle")
 
@@ -145,11 +148,8 @@ def cmd_table(args) -> int:
 
 
 def _table_sieve_limit(index_limit: int) -> int:
-    # p_n < n(log n + log log n) for n >= 6; generous floor for small n.
-    import math
-
-    if index_limit < 6:
-        return 16
+    # p_n < n(log n + log log n) for n >= 6; for n = 2..5 this returns 16,
+    # 19, 22 and 26, each at least p_5 = 11.
     n = float(index_limit)
     return int(n * (math.log(n) + math.log(math.log(n)))) + 16
 
@@ -158,10 +158,10 @@ def cmd_verify(args) -> int:
     thm = _resolve_theorem(args)
     if args.frm > args.to:
         raise ValueError(f"--from {args.frm} exceeds --to {args.to}")
-    if args.jobs is not None and args.jobs < 1:
+    if args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
     store = sieve_upto(args.to)
-    report = verify_theorem(thm, args.frm, args.to, store, jobs=args.jobs or 1)
+    report = verify_theorem(thm, args.frm, args.to, store, jobs=args.jobs)
     _emit(
         {
             "schema": "verify",
@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_theorem_flags(p)
     p.add_argument("--from", type=int, required=True, dest="frm")
     p.add_argument("--to", type=int, required=True)
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_verify)
 
     return parser

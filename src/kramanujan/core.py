@@ -4,13 +4,14 @@ characterization path, explicit upper bounds, and the breakpoint table."""
 from __future__ import annotations
 
 import re
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError, InconclusiveError, RangeError, UnsupportedRangeError
-from .primes import DEFAULT_SIEVE_BUDGET, PrimeStore, sieve_upto
+from .primes import PrimeStore, sieve_upto
 from .theorems import BUILTIN_THEOREMS, GapTheorem
 
 _K_PATTERN = re.compile(r"^\s*(\d+(?:\.\d{1,15})?|\d+/0*[1-9]\d*)\s*$")
@@ -76,20 +77,17 @@ def certified_bound(k: Fraction) -> int:
 
     A theorem gives its corollary's bound while it admits k, and past k_max
     the corollary's value at k_max, k_max * x0, since R_1^(k) is
-    non-increasing in k.  Raises UnsupportedRangeError past the sieve budget.
+    non-increasing in k.  Any size is returned; only sieve_upto has a budget.
     """
     if k <= 1:
         raise DomainError(f"threshold k must exceed 1, got {k}")
-    bound = min(
-        thm.corollary_bound(k) if thm.admits(k) else thm.k_max_bound()
-        for thm in BUILTIN_THEOREMS.values()
-    )
-    if bound > DEFAULT_SIEVE_BUDGET:
-        raise UnsupportedRangeError(
-            f"certified bound {bound} for k = {k} is past the sieve budget "
-            f"DEFAULT_SIEVE_BUDGET = {DEFAULT_SIEVE_BUDGET}"
-        )
-    return bound
+    bounds = []
+    for t in BUILTIN_THEOREMS.values():
+        with suppress(UnsupportedRangeError):  # >= 2^1024: never the minimum
+            bounds.append(t.corollary_bound(k) if t.admits(k) else t.k_max_bound())
+    if not bounds:
+        raise UnsupportedRangeError(f"all bounds for k = {k} overflow double precision")
+    return min(bounds)
 
 
 def first_k_ramanujan(k: Fraction) -> tuple[int, int]:

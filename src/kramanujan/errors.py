@@ -14,7 +14,7 @@ class RangeError(KRamanujanError):
 
 
 class UnsupportedRangeError(DomainError):
-    """The certified bound for k is past what can be evaluated or sieved."""
+    """A certified bound for k overflows double precision."""
 
 
 class ResourceLimitError(KRamanujanError):

@@ -78,7 +78,7 @@ class GapTheorem:
         if self.x0 < 2 or self.c <= 0 or self.e < 1:
             raise DomainError(f"invalid theorem parameters {self!r}")
 
-    def k_max(self, prec: int = 64) -> tuple[Fraction, Fraction]:
+    def k_max(self, prec: int) -> tuple[Fraction, Fraction]:
         """Enclosure of k_max = 1 + c/log^e(x0), the largest k certified."""
         lo, hi = _log_pow(self.x0, self.e, prec)
         return 1 + self.c / hi, 1 + self.c / lo

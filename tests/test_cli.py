@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from kramanujan import breakpoints
 from kramanujan.cli import main
 
 
@@ -79,12 +80,21 @@ def test_compute_trudgian_x0(capsys):
     assert rec["certified_bound"] == 2898360
 
 
-@pytest.mark.parametrize("k", ["1.00001", "1.000000000000001"])
-def test_compute_k_too_close_to_one(capsys, k):
+@pytest.mark.parametrize(
+    "k,exit_code,cause",
+    [
+        # the bound 10848210585662 is past the sieve budget
+        pytest.param("1.00001", 5, "budget", id="1.00001"),
+        # every theorem's bound overflows double precision
+        pytest.param("1.000000000000001", 2, "overflow", id="1.000000000000001"),
+    ],
+)
+def test_compute_k_too_close_to_one(capsys, k, exit_code, cause):
     code, out, err = run(capsys, "compute", "--k", k)
-    assert code == 2
+    assert code == exit_code
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+    assert cause in err
 
 
 def test_bound_overflow_exit(capsys):
@@ -98,6 +108,14 @@ def test_bound_overflow_exit(capsys):
 
 def test_compute_domain_exit(capsys):
     assert run(capsys, "compute", "--k", "0.9")[0] == 2
+
+
+def test_compute_table_rejects_scan_limit(capsys):
+    code, out, err = run(capsys, "compute", "--k", "1.0001", "--scan-limit", "5")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--scan-limit" in err
 
 
 def test_compute_usage_exits(capsys):
@@ -180,6 +198,19 @@ def test_table_json_round_trip(capsys):
     assert frac(rec["k_min"]) == Fraction("1.0008968291")
 
 
+@pytest.mark.parametrize("index_limit", [2, 3, 4, 5, 6])
+def test_table_small_index_limits(capsys, store_60k, index_limit):
+    # the sieve limit for these is the same formula as for n >= 6
+    code, rec = run_json(
+        capsys, "table", "--index-limit", str(index_limit), "--format", "json"
+    )
+    assert code == 0
+    expected = breakpoints(Fraction("1.0008968291"), index_limit, store_60k)
+    assert [(r["a"], r["prime"], r["prev_prime"]) for r in rec["rows"]] == [
+        (e.index, e.prime, e.prev_prime) for e in expected
+    ]
+
+
 def test_table_output_bit_stable(capsys):
     a = run(capsys, "table")[1]
     b = run(capsys, "table")[1]
@@ -236,6 +267,7 @@ def test_verify_custom_missing_params_exit(capsys):
     [
         ["verify", "--theorem", "axler", "--from", "58837", "--to", "3000000000"],
         ["compute", "--k", "2", "--n", "2", "--scan-limit", "3000000000"],
+        ["compute", "--k", "1.00000005"],  # axler's 125-digit bound
     ],
 )
 def test_sieve_budget_exit_5(capsys, argv):

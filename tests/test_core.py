@@ -14,6 +14,7 @@ from kramanujan import (
     DomainError,
     InconclusiveError,
     RangeError,
+    ResourceLimitError,
     UnsupportedRangeError,
     breakpoints,
     brute_force_R,
@@ -130,9 +131,13 @@ class TestCertifiedBound:
         assert certified_bound(k) == expected
 
     def test_past_sieve_budget(self):
-        # ~1.08e13 under trudgian; raised before anything is sieved
-        with pytest.raises(UnsupportedRangeError, match="DEFAULT_SIEVE_BUDGET"):
-            certified_bound(Fraction("1.00001"))
+        # ~1.08e13 under trudgian: a bound past the budget is still a bound
+        assert certified_bound(Fraction("1.00001")) == 10848210585662
+
+    def test_skips_an_overflowing_theorem(self):
+        # dusart's corollary overflows here; axler's 125 digits are the minimum
+        k = Fraction("1.00000005")
+        assert certified_bound(k) == cor_bound(k, AXLER)
 
 
 class TestFirstKRamanujan:
@@ -158,7 +163,8 @@ class TestFirstKRamanujan:
             assert brute_force_R(k, 1, 2 * bound) == prime
 
     def test_unsupported_range(self):
-        with pytest.raises(UnsupportedRangeError):
+        # the bound 10848210585662 is past the sieve budget
+        with pytest.raises(ResourceLimitError):
             first_k_ramanujan(Fraction("1.00001"))
 
     def test_k_at_most_one(self):

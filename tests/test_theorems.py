@@ -1,5 +1,6 @@
 """The rigorous arithmetic path: interval enclosures against 60-digit
-references, thread safety, and the single float prescreen guard."""
+references, thread safety, the single float prescreen guard, and the single
+owner of the sieve budget."""
 
 import math
 import re
@@ -19,11 +20,13 @@ from kramanujan import (
     DUSART,
     TRUDGIAN,
     GapTheorem,
+    ResourceLimitError,
     UnsupportedRangeError,
     certified_bound,
     cor_bound,
     verify_theorem,
 )
+from kramanujan import core
 from kramanujan.theorems import _corollary, _log_pow
 
 REF_DPS = 60
@@ -137,3 +140,18 @@ def test_one_float_guard_literal():
         if re.search(r"\de-\d", line)
     ]
     assert literals == ["theorems.py: PRESCREEN_GUARD = 1e-9"]
+
+
+def test_one_sieve_budget_owner():
+    # sieve_upto alone refuses a table past the budget, before sieving
+    src = Path(kramanujan.__file__).parent
+    owners = [
+        path.name
+        for path in sorted(src.glob("*.py"))
+        if "DEFAULT_SIEVE_BUDGET" in path.read_text()
+    ]
+    assert owners == ["primes.py"]
+    before = core._shared
+    with pytest.raises(ResourceLimitError, match="budget"):
+        core.first_k_ramanujan(Fraction("1.00001"))
+    assert core._shared is before
