@@ -14,17 +14,14 @@ import sys
 from fractions import Fraction
 
 from . import core
-from .errors import InconclusiveError, KRamanujanError, ResourceLimitError
+from .errors import KRamanujanError
 from .primes import sieve_upto
 from .theorems import BUILTIN_THEOREMS, GapTheorem
 from .verify import verify_theorem
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_DOMAIN = 2
 EXIT_VIOLATIONS = 3
-EXIT_INCONCLUSIVE = 4
-EXIT_RESOURCE = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,15 +60,11 @@ def cmd_compute(args) -> int:
     k = core.parse_k(args.k)
     if args.n < 1:
         raise ValueError("--n must be >= 1")
-    method = args.method
-    if method == "auto":
-        method = "oracle" if args.n > 1 else "table"
-    if method == "oracle" and args.scan_limit is None:
-        raise ValueError("--method oracle (and any --n >= 2) requires --scan-limit")
-    if method == "table" and args.scan_limit is not None:
-        raise ValueError("--scan-limit applies only to --method oracle")
-    if args.n > 1 and method != "oracle":
-        raise ValueError("--n >= 2 is only available via the oracle")
+    method = "oracle" if args.method == "oracle" or args.n > 1 else "table"
+    if (method == "oracle") != (args.scan_limit is not None):
+        raise ValueError(
+            "--scan-limit goes with, and only with, --method oracle or --n >= 2"
+        )
 
     record = {
         "schema": "compute",
@@ -198,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="compute R_n^(k) exactly")
     p.add_argument("--k", required=True, help="threshold k (decimal or p/q), k > 1")
     p.add_argument("--n", type=int, default=1, help="Ramanujan index (default 1)")
-    p.add_argument("--method", choices=["auto", "table", "oracle"], default="auto")
+    p.add_argument("--method", choices=["oracle"])
     p.add_argument("--scan-limit", type=int, dest="scan_limit")
     p.set_defaults(func=cmd_compute)
 
@@ -235,15 +228,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except BrokenPipeError:
         return EXIT_OK
-    except InconclusiveError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    except ResourceLimitError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RESOURCE
     except KRamanujanError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return e.exit_code
 
 
 if __name__ == "__main__":

@@ -35,11 +35,8 @@ class PrimeStore:
         return len(self.primes)
 
     def prime_count(self, x: int | Fraction) -> int:
-        """pi(x) for integer or exact rational x with x <= limit."""
-        if isinstance(x, Fraction):
-            fx = x.numerator // x.denominator
-        else:
-            fx = int(x)
+        """pi(x) for integer or exact rational x <= limit; int() floors x >= 0."""
+        fx = int(x)
         if fx > self.limit:
             raise DomainError(f"pi({x}) needs a sieve past {self.limit}")
         return int(np.searchsorted(self.primes, fx, side="right"))
@@ -58,8 +55,8 @@ class PrimeStore:
         if not 2 <= lo <= hi <= self.limit:
             raise RangeError(f"bad gap range [{lo}, {hi}] for limit {self.limit}")
         # 0-based index of the first pair: the prime starting the gap that
-        # covers lo (straddling pair included).
-        lo_idx = max(int(np.searchsorted(self.primes, lo, side="right")) - 1, 0)
+        # covers lo (straddling pair included); lo >= 2 = p_1 keeps it >= 0.
+        lo_idx = int(np.searchsorted(self.primes, lo, side="right")) - 1
         # pairs run while p_j <= hi and p_{j+1} is in the store
         hi_idx = int(np.searchsorted(self.primes, hi, side="right"))
         hi_idx = min(hi_idx, self.count - 1)

@@ -108,6 +108,10 @@ def test_bound_overflow_exit(capsys):
 
 def test_compute_domain_exit(capsys):
     assert run(capsys, "compute", "--k", "0.9")[0] == 2
+    # a RangeError: a scan limit below 4 is too small to scan
+    assert run(
+        capsys, "compute", "--k", "1.5", "--method", "oracle", "--scan-limit", "3"
+    )[0] == 2
 
 
 def test_compute_table_rejects_scan_limit(capsys):
@@ -122,6 +126,13 @@ def test_compute_usage_exits(capsys):
     assert run(capsys, "compute", "--k", "not-a-number")[0] == 1
     assert run(capsys, "compute", "--k", "1.5", "--n", "2")[0] == 1  # no scan limit
     assert run(capsys, "compute")[0] == 1
+    for argv in (
+        ["--method", "table"],
+        ["--method", "auto"],
+        ["--method", "oracle"],  # the oracle needs --scan-limit
+    ):
+        code, out, _ = run(capsys, "compute", "--k", "1.5", *argv)
+        assert (code, out) == (1, "")
 
 
 def test_compute_inconclusive_exit(capsys):
@@ -130,6 +141,11 @@ def test_compute_inconclusive_exit(capsys):
         "--scan-limit", "80000",
     )
     assert code == 4
+    code, out, err = run(
+        capsys, "compute", "--k", "2", "--n", "200", "--scan-limit", "1000"
+    )
+    assert (code, out) == (4, "")
+    assert "fewer than 200 primes" in err
 
 
 def test_bound_paper_value(capsys):

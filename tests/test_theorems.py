@@ -1,6 +1,6 @@
 """The rigorous arithmetic path: interval enclosures against 60-digit
-references, thread safety, the single float prescreen guard, and the single
-owner of the sieve budget."""
+references, thread safety, the single float prescreen guard, the single
+owner of the sieve budget, and the exit code each error type carries."""
 
 import math
 import re
@@ -19,7 +19,11 @@ from kramanujan import (
     AXLER,
     DUSART,
     TRUDGIAN,
+    DomainError,
     GapTheorem,
+    InconclusiveError,
+    KRamanujanError,
+    RangeError,
     ResourceLimitError,
     UnsupportedRangeError,
     certified_bound,
@@ -155,3 +159,16 @@ def test_one_sieve_budget_owner():
     with pytest.raises(ResourceLimitError, match="budget"):
         core.first_k_ramanujan(Fraction("1.00001"))
     assert core._shared is before
+
+
+def test_error_types_carry_their_exit_codes():
+    # cli.main returns e.exit_code for every package error
+    errors = [
+        KRamanujanError,
+        DomainError,
+        RangeError,
+        UnsupportedRangeError,
+        InconclusiveError,
+        ResourceLimitError,
+    ]
+    assert [cls.exit_code for cls in errors] == [2, 2, 2, 2, 4, 5]
