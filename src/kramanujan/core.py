@@ -184,9 +184,9 @@ def breakpoints(
 def k_equals_gap_ratio(k: Fraction, store: PrimeStore) -> bool:
     """True when k is exactly some gap ratio p_n/p_{n-1} in the store.
 
-    Boundary thresholds sit on the closed end of a breakpoint interval;
-    callers should surface this in output.  Consecutive primes are coprime,
-    so this holds iff k's lowest terms are p_n over p_{n-1}.
+    Any gap ratio counts, though only a record row of breakpoints closes a
+    breakpoint interval (3/2 counts; R_1 = 11 on both sides of it).  Consecutive
+    primes are coprime, so this holds iff k's lowest terms are p_n over p_{n-1}.
     """
     primes = store.primes
     j = int(np.searchsorted(primes, k.denominator))

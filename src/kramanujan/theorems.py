@@ -1,21 +1,20 @@
 """Short-interval prime theorems of the form: for x >= x0 there is a prime
 in (x, x(1 + c/log^e x)].
 
-The only module that evaluates real numbers.  Each is enclosed between exact
-Fractions by mpmath's directed-rounding interval primitives at an explicit
-precision.  mpmath's global precision is never read or set, so worker
-threads can call everything here.
+The only module that evaluates real numbers: each is a chain of increasing
+steps (ln, exp, multiply, divide) that a decimal context rounds correctly, so
+each true value lies strictly between the next_minus and the next_plus of its
+Decimal result.  A Decimal compares exactly with a Fraction.  Contexts are made
+here and passed explicitly, never read from or set on a thread.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from functools import partial
-
-from mpmath.libmp import from_int, mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_pow_int
-from mpmath.libmp import to_rational
 
 from .errors import DomainError, UnsupportedRangeError
 
@@ -39,32 +38,31 @@ def _decide(enclose, verdict):
     return verdict(ends[0])
 
 
-def _fractions(interval) -> tuple[Fraction, Fraction]:
-    return tuple(Fraction(*to_rational(end)) for end in interval)
+def _enclose(start: int, prec: int, *steps) -> tuple[Decimal, Decimal]:
+    """Ends around what the steps (op, *args), each v -> op(ctx, v, *args), make
+    of start, at prec // 3 digits (at least prec bits) and any exponent."""
+    ctx = Context(prec // 3, ROUND_HALF_EVEN, MIN_EMIN, MAX_EMAX, traps=[])
+    lo = hi = start
+    for op, *args in steps:
+        lo, hi = ctx.next_minus(op(ctx, lo, *args)), ctx.next_plus(op(ctx, hi, *args))
+    return lo, hi
 
 
-def _interval(x: Fraction | int, prec: int) -> tuple:
-    num, den = ((from_int(n),) * 2 for n in Fraction(x).as_integer_ratio())
-    return mpi_div(num, den, prec)
-
-
-def _log_pow(x: int, e: int, prec: int) -> tuple[Fraction, Fraction]:
-    """Enclosure of log(x)^e for an integer x >= 1."""
-    return _fractions(mpi_pow_int(mpi_log(_interval(x, prec), prec), e, prec))
+def _log_pow(x: int, e: int, prec: int) -> tuple[Decimal, Decimal]:
+    """Enclosure of log(x)^e = exp(e*log(log(x))) for an integer x >= 2."""
+    ln = (Context.ln,)
+    return _enclose(x, prec, ln, ln, (Context.multiply, e), (Context.exp,))
 
 
 def _corollary(k: Fraction, c: Fraction, e: int, prec: int) -> tuple:
-    """Enclosure of k*exp((c/(k-1))^(1/e)), for k > 1.
-
-    Raises UnsupportedRangeError past the double range, before the ends are
-    made exact (exp(1e21) cannot be held exactly).
-    """
-    log_t = mpi_log(_interval(c / (k - 1), prec), prec)
-    root = mpi_exp(mpi_div(log_t, _interval(e, prec), prec), prec)
-    lo, hi = mpi_mul(_interval(k, prec), mpi_exp(root, prec), prec)
-    if lo[2] + lo[3] > 1024:  # lo >= 2^1024
+    """Enclosure of k*exp((c/(k-1))^(1/e)) = k*exp(exp(log(c/(k-1))/e)), k > 1.
+    Raises UnsupportedRangeError from 2^1024 on, before an end meets math.ceil."""
+    t, exp, div = c / (k - 1), (Context.exp,), Context.divide
+    lo, hi = _enclose(t.numerator, prec, (div, t.denominator), (Context.ln,), (div, e),
+                      exp, exp, (Context.multiply, k.numerator), (div, k.denominator))
+    if lo >= 2**1024:
         raise UnsupportedRangeError(f"bound for k = {k} overflows double precision")
-    return _fractions((lo, hi))
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -80,17 +78,18 @@ class GapTheorem:
 
     def k_max(self, prec: int) -> tuple[Fraction, Fraction]:
         """Enclosure of k_max = 1 + c/log^e(x0), the largest k certified."""
-        lo, hi = _log_pow(self.x0, self.e, prec)
+        lo, hi = map(Fraction, _log_pow(self.x0, self.e, prec))
         return 1 + self.c / hi, 1 + self.c / lo
 
     def admits(self, k: Fraction) -> bool:
-        """Whether k satisfies the hypothesis k in (1, k_max]."""
-        return k > 1 and _decide(self.k_max, lambda v: k <= v)
+        """Whether k is in (1, k_max], i.e. k > 1 and log^e(x0) <= c/(k - 1)."""
+        log_pow = partial(_log_pow, self.x0, self.e)
+        return k > 1 and _decide(log_pow, lambda v: v <= self.c / (k - 1))
 
     def threshold_exceeds(self, x: int, q: int) -> bool:
-        """Whether x(1 + c/log^e x) >= q, i.e. log^e(x)*(q - x) <= c*x."""
-        cx = self.c * x
-        return _decide(partial(_log_pow, x, self.e), lambda v: v * (q - x) <= cx)
+        """Whether x(1 + c/log^e x) >= q, i.e. q <= x or log^e(x) <= c*x/(q - x)."""
+        log_pow = partial(_log_pow, x, self.e)
+        return q <= x or _decide(log_pow, lambda v: v <= self.c * x / (q - x))
 
     def corollary_bound(self, k: Fraction) -> int:
         """The exact ceiling of k*exp((c/(k-1))^(1/e)), for k > 1."""

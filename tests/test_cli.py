@@ -316,19 +316,26 @@ def test_k_past_float_range_usage(capsys, argv):
     assert "Traceback" not in err
 
 
-def run_module_entry_point(prefix):
-    # the CLI as a fresh interpreter runs it, with the package on PYTHONPATH
+def run_fresh(*argv):
+    # a fresh interpreter, with the package on PYTHONPATH
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
     )
-    proc = subprocess.run(
-        [*prefix, "-m", "kramanujan.cli", "compute", "--k", "1.0008968291"],
+    return subprocess.run(
+        argv,
         cwd=root,
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         timeout=120,
+    )
+
+
+def run_module_entry_point(prefix):
+    # the CLI as a fresh interpreter runs it
+    proc = run_fresh(
+        *prefix, "-m", "kramanujan.cli", "compute", "--k", "1.0008968291"
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["prime"] == 58889
@@ -343,6 +350,17 @@ def test_module_entry_point_under_cprofile(tmp_path):
     run_module_entry_point(
         [sys.executable, "-m", "cProfile", "-o", str(tmp_path / "cli.prof")]
     )
+
+
+def test_cli_imports_no_mpmath():
+    # numpy is the only runtime dependency; decimal encloses every real
+    code = (
+        "import sys, kramanujan.cli;"
+        "print([m for m in sys.modules if 'mpmath' in m])"
+    )
+    proc = run_fresh(sys.executable, "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize(

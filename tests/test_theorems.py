@@ -2,9 +2,12 @@
 references, thread safety, the single float prescreen guard, the single
 owner of the sieve budget, and the exit code each error type carries."""
 
+import decimal
 import math
 import re
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -111,6 +114,25 @@ def test_no_global_precision_writes_from_threads(monkeypatch, store_10m):
     want = [f(*args) for f, args in calls]
     report = verify_theorem(WEAK, 58837, 10**6, store_10m)
 
+    # every worker thread holds a decimal context that would round, flag or
+    # raise on any operation the package let read it
+    hostile = {}
+
+    def set_hostile_context():
+        hostile[threading.get_ident()] = ctx = decimal.Context(
+            prec=3,
+            rounding=decimal.ROUND_UP,
+            traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation],
+        )
+        decimal.setcontext(ctx)
+
+    def call(fa):
+        result = fa[0](*fa[1])
+        ctx = decimal.getcontext()
+        assert ctx is hostile[threading.get_ident()]
+        assert not any(ctx.flags.values()), ctx.flags
+        return result
+
     writes = []
     ctx_type = type(mpmath.mp)
     for name in ("prec", "dps"):
@@ -124,15 +146,28 @@ def test_no_global_precision_writes_from_threads(monkeypatch, store_10m):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            got = list(pool.map(lambda fa: fa[0](*fa[1]), calls * 20))
+        with ThreadPoolExecutor(max_workers=8, initializer=set_hostile_context) as pool:
+            got = list(pool.map(call, calls * 20))
         jobs4 = verify_theorem(WEAK, 58837, 10**6, store_10m, jobs=4)
     finally:
         sys.setswitchinterval(interval)
     assert writes == []
     assert got == want * 20
+    assert hostile
     assert jobs4.violations == report.violations
     assert jobs4.pairs_checked == report.pairs_checked
+
+
+@pytest.mark.parametrize("e", [10**6, 10**7])
+def test_huge_exponent_decisions(e):
+    # log^e x is exp(e*log(log(x))): the cost follows the digits of e, and
+    # no end of size 10^(10^6) or more is ever made a Fraction
+    thm = GapTheorem("custom", 58837, Fraction(1), e)
+    start = time.perf_counter()
+    assert thm.admits(Fraction(3, 2)) is False
+    assert thm.threshold_exceeds(58889, 58897) is False
+    assert thm.corollary_bound(Fraction(3, 2)) == 5
+    assert time.perf_counter() - start < 0.5
 
 
 def test_one_float_guard_literal():
