@@ -9,7 +9,7 @@ from .core import (
     certified_bound,
     cor_bound,
     first_k_ramanujan,
-    parse_k,
+    parse_rational,
 )
 from .errors import (
     DomainError,
@@ -43,7 +43,7 @@ __all__ = [
     "certified_bound",
     "cor_bound",
     "first_k_ramanujan",
-    "parse_k",
+    "parse_rational",
     "sieve_upto",
     "verify_theorem",
 ]

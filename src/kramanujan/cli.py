@@ -45,10 +45,7 @@ def _resolve_theorem(args) -> GapTheorem:
         return BUILTIN_THEOREMS[args.theorem]
     if args.x0 is None or args.c is None or args.e is None:
         raise ValueError("custom theorem requires --x0, --c and --e")
-    try:
-        return GapTheorem("custom", args.x0, Fraction(args.c), args.e)
-    except ZeroDivisionError:
-        raise ValueError(f"--c {args.c} has a zero denominator") from None
+    return GapTheorem("custom", args.x0, core.parse_rational(args.c), args.e)
 
 
 def _emit(record: dict) -> None:
@@ -57,7 +54,7 @@ def _emit(record: dict) -> None:
 
 
 def cmd_compute(args) -> int:
-    k = core.parse_k(args.k)
+    k = core.parse_rational(args.k)
     if args.n < 1:
         raise ValueError("--n must be >= 1")
     method = "oracle" if args.method == "oracle" or args.n > 1 else "table"
@@ -91,7 +88,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    k = core.parse_k(args.k)
+    k = core.parse_rational(args.k)
     thm = _resolve_theorem(args)
     bound = core.cor_bound(k, thm)
     _emit(
@@ -107,7 +104,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_table(args) -> int:
-    k_min = core.parse_k(args.k_min)
+    k_min = core.parse_rational(args.k_min)
     if args.index_limit < 2:
         raise ValueError("--index-limit must be >= 2")
     store = core.shared_store(_table_sieve_limit(args.index_limit))
@@ -141,9 +138,9 @@ def cmd_table(args) -> int:
 
 
 def _table_sieve_limit(index_limit: int) -> int:
-    # p_n < n(log n + log log n) for n >= 6; for n = 2..5 this returns 16,
-    # 19, 22 and 26, each at least p_5 = 11.
-    n = float(index_limit)
+    # p_n < n(log n + log log n) for n >= 6; n = 2..5 give 16, 19, 22 and 26,
+    # each at least p_5 = 11.  n stops at 2^53, where the limit is over budget.
+    n = float(min(index_limit, 2**53))
     return int(n * (math.log(n) + math.log(math.log(n)))) + 16
 
 

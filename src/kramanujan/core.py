@@ -14,30 +14,26 @@ from .errors import DomainError, InconclusiveError, RangeError, UnsupportedRange
 from .primes import PrimeStore, sieve_upto
 from .theorems import BUILTIN_THEOREMS, GapTheorem
 
-_K_PATTERN = re.compile(r"^\s*(\d+(?:\.\d{1,15})?|\d+/0*[1-9]\d*)\s*$")
+_RATIONAL = re.compile(r"^\s*(\d+(?:\.\d{1,15})?|\d+/0*[1-9]\d*)\s*$")
 
 # The largest sieve built so far.  A bigger store answers any smaller
 # request identically because all searches are index-bounded.
 _shared: PrimeStore | None = None
 
 
-def parse_k(text: str) -> Fraction:
-    """Parse a threshold k from a decimal (<= 15 fractional digits) or 'p/q'.
-
-    Raises ValueError on malformed input or a k past the float range,
-    DomainError when k <= 1.
-    """
-    m = _K_PATTERN.match(text)
+def parse_rational(text: str) -> Fraction:
+    """A decimal (<= 15 fractional digits) or 'p/q', parsed exactly.  Raises
+    ValueError on malformed input or a value past the float range; the layer
+    that uses the value checks its domain (k > 1 or c > 0)."""
+    m = _RATIONAL.match(text)
     if not m:
-        raise ValueError(f"cannot parse threshold {text!r}")
-    k = Fraction(m.group(1))
-    if k <= 1:
-        raise DomainError(f"threshold k must exceed 1, got {k}")
+        raise ValueError(f"cannot parse {text!r} as a decimal or p/q")
+    x = Fraction(m.group(1))
     try:
-        float(k)
+        float(x)
     except OverflowError:
-        raise ValueError("threshold k is past the float range (1.8e308)") from None
-    return k
+        raise ValueError("value past the float range (1.8e308)") from None
+    return x
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 """Short-interval prime theorems of the form: for x >= x0 there is a prime
 in (x, x(1 + c/log^e x)].
 
-The only module that evaluates real numbers: each is a chain of increasing
+Exact decisions and nothing else: each real number is a chain of increasing
 steps (ln, exp, multiply, divide) that a decimal context rounds correctly, so
 each true value lies strictly between the next_minus and the next_plus of its
-Decimal result.  A Decimal compares exactly with a Fraction.  Contexts are made
-here and passed explicitly, never read from or set on a thread.
+Decimal result, and a Decimal compares exactly with a Fraction.  Contexts are
+made here and passed explicitly, never read from or set on a thread.
 """
 
 from __future__ import annotations
@@ -17,11 +17,6 @@ from fractions import Fraction
 from functools import partial
 
 from .errors import DomainError, UnsupportedRangeError
-
-# Relative guard of verify's float64 prescreen of x(1 + c/log^e x), its only
-# user: a float comparison decides only outside it.  For integers below 2^53
-# the float64 error of that logarithmic threshold is under 10^-13.
-PRESCREEN_GUARD = 1e-9
 
 
 def _decide(enclose, verdict):

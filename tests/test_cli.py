@@ -284,6 +284,7 @@ def test_verify_custom_missing_params_exit(capsys):
         ["verify", "--theorem", "axler", "--from", "58837", "--to", "3000000000"],
         ["compute", "--k", "2", "--n", "2", "--scan-limit", "3000000000"],
         ["compute", "--k", "1.00000005"],  # axler's 125-digit bound
+        ["table", "--index-limit", "1" + "0" * 400],  # past the float range
     ],
 )
 def test_sieve_budget_exit_5(capsys, argv):
@@ -306,6 +307,10 @@ HUGE_K = "1" + "0" * 309  # past the largest float, about 1.8e308
         ["compute", "--k", HUGE_K],
         ["bound", "--k", HUGE_K, "--theorem", "axler"],
         ["table", "--k-min", HUGE_K],
+        ["bound", "--k", "1.5", "--theorem", "custom", "--x0", "2", "--c", HUGE_K,
+         "--e", "1"],
+        ["verify", "--theorem", "custom", "--x0", "3", "--c", HUGE_K, "--e", "1",
+         "--from", "3", "--to", "100"],
     ],
 )
 def test_k_past_float_range_usage(capsys, argv):
@@ -314,6 +319,55 @@ def test_k_past_float_range_usage(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and "float range" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("c", ["1e-3", "-1", "+0.5", ".5", "1_000"])
+def test_custom_c_same_syntax_as_k(capsys, c):
+    # --c reads a decimal or p/q, like --k; wider float syntax is a usage error
+    code, out, err = run(
+        capsys, "bound", "--k", "1.5", "--theorem", "custom", "--x0", "2",
+        f"--c={c}", "--e", "1",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_table_k_min_at_one(capsys, store_60k):
+    # the record table is defined for any k_min, 1 and below included
+    code, rec = run_json(
+        capsys, "table", "--k-min", "1", "--index-limit", "100", "--format", "json"
+    )
+    assert code == 0
+    expected = breakpoints(Fraction(1), 100, store_60k)
+    assert [(r["a"], r["prime"], r["prev_prime"], frac(r["ratio"]))
+            for r in rec["rows"]] == [
+        (e.index, e.prime, e.prev_prime, e.ratio) for e in expected
+    ]
+
+
+def test_domain_checked_after_parsing(capsys):
+    # parsing checks no domain: k <= 1 reaches the layer that owns the check
+    for argv in (
+        ["compute", "--k", "1"],
+        ["compute", "--k", "0.9", "--method", "oracle", "--scan-limit", "100"],
+        ["bound", "--k", "0.9", "--theorem", "axler"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ")
+    assert "(1, k_max]" in err
+
+
+def test_verify_exponent_past_float_range(capsys):
+    # log^e x overflows a float for every x: each gap is decided exactly
+    code, out, err = run(
+        capsys, "verify", "--theorem", "custom", "--x0", "3", "--c", "1",
+        "--e", "1" + "0" * 400, "--from", "3", "--to", "1000",
+    )
+    assert (code, err) == (3, "")
+    rec = json.loads(out)
+    assert len(rec["violations"]) == rec["pairs_checked"] == 166
 
 
 def run_fresh(*argv):

@@ -21,7 +21,7 @@ from kramanujan import (
     certified_bound,
     cor_bound,
     first_k_ramanujan,
-    parse_k,
+    parse_rational,
 )
 from kramanujan.core import k_equals_gap_ratio
 
@@ -55,26 +55,29 @@ def characterizes(m, k, store):
 
 class TestParseK:
     def test_decimal(self):
-        assert parse_k("1.0008968291") == Fraction(10008968291, 10**10)
+        assert parse_rational("1.0008968291") == Fraction(10008968291, 10**10)
 
     def test_fraction(self):
-        assert parse_k("5/3") == Fraction(5, 3)
+        assert parse_rational("5/3") == Fraction(5, 3)
 
     def test_integer(self):
-        assert parse_k("2") == Fraction(2)
+        assert parse_rational("2") == Fraction(2)
 
     def test_below_one_rejected(self):
-        with pytest.raises(DomainError):
-            parse_k("0.9")
-        with pytest.raises(DomainError):
-            parse_k("1")
+        # parsing checks no domain; the layers that use k reject k <= 1
+        assert parse_rational("0.9") == Fraction(9, 10)
+        for k in (Fraction(9, 10), Fraction(1)):
+            with pytest.raises(DomainError):
+                first_k_ramanujan(k)
+            with pytest.raises(DomainError):
+                brute_force_R(k, 1, 1000)
 
     @pytest.mark.parametrize(
         "text", ["", "abc", "1.2e3", "-1.5", "1.1234567890123456", "3/0", "1/000"]
     )
     def test_malformed(self, text):
         with pytest.raises(ValueError):
-            parse_k(text)
+            parse_rational(text)
 
 
 class TestCorBound:
@@ -156,7 +159,7 @@ class TestFirstKRamanujan:
 
     def test_theorem_path_agrees_with_oracle(self):
         for text in ("1.0005", "1.0003"):
-            k = parse_k(text)
+            k = parse_rational(text)
             bound = certified_bound(k)
             prime, index = first_k_ramanujan(k)
             assert prime <= bound
@@ -195,7 +198,7 @@ class TestBruteForce:
         assert got == [2, 11, 17, 29, 41, 47, 59, 67, 71, 97]
 
     def test_paper_value(self):
-        assert brute_force_R(parse_k("1.0008968291"), 1, 200_000) == 58889
+        assert brute_force_R(parse_rational("1.0008968291"), 1, 200_000) == 58889
 
     def test_three_halves(self):
         assert brute_force_R(Fraction(3, 2), 1, 1000) == 11
@@ -204,7 +207,7 @@ class TestBruteForce:
     def test_inconclusive_tail(self):
         # last failure near 58888 is above 80000/2
         with pytest.raises(InconclusiveError):
-            brute_force_R(parse_k("1.0008968291"), 1, 80_000)
+            brute_force_R(parse_rational("1.0008968291"), 1, 80_000)
 
     def test_bad_n(self):
         with pytest.raises(DomainError):
@@ -213,16 +216,16 @@ class TestBruteForce:
 
 class TestCharacterization:
     def test_paper_index(self, store_60k):
-        k = parse_k("1.0008968291")
+        k = parse_rational("1.0008968291")
         assert characterizes(5950, k, store_60k)
         assert first_k_ramanujan(k) == (58889, 5950)
 
     def test_off_by_one_fails(self, store_60k):
-        assert not characterizes(5949, parse_k("1.0008968291"), store_60k)
+        assert not characterizes(5949, parse_rational("1.0008968291"), store_60k)
 
     def test_condition_b_fails(self, store_60k):
         # p_3/p_2 = 5/3 < 1.7
-        assert not characterizes(3, parse_k("1.7"), store_60k)
+        assert not characterizes(3, parse_rational("1.7"), store_60k)
 
     def test_index_one_vacuous(self, store_60k):
         assert characterizes(1, Fraction(2), store_60k)
@@ -231,7 +234,7 @@ class TestCharacterization:
 
 class TestBreakpoints:
     def test_first_rows(self, store_60k):
-        rows = breakpoints(parse_k("1.0008968291"), 16, store_60k)
+        rows = breakpoints(parse_rational("1.0008968291"), 16, store_60k)
         assert [(r.index, r.prime) for r in rows] == [
             (3, 5),
             (5, 11),
@@ -242,7 +245,7 @@ class TestBreakpoints:
         ]
 
     def test_ratios_strictly_decrease(self, store_60k):
-        rows = breakpoints(parse_k("1.0008968291"), 5950, store_60k)
+        rows = breakpoints(parse_rational("1.0008968291"), 5950, store_60k)
         assert all(a.ratio > b.ratio for a, b in zip(rows, rows[1:]))
         assert all(a.index < b.index for a, b in zip(rows, rows[1:]))
 

@@ -178,7 +178,7 @@ def test_one_float_guard_literal():
         for line in path.read_text().splitlines()
         if re.search(r"\de-\d", line)
     ]
-    assert literals == ["theorems.py: PRESCREEN_GUARD = 1e-9"]
+    assert literals == ["verify.py: PRESCREEN_GUARD = 1e-9"]
 
 
 def test_one_sieve_budget_owner():

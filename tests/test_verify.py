@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -125,3 +126,26 @@ def test_largest_violation_none_for_generous_allowance(store_10m):
 def test_largest_violation_range_error(store_10m):
     with pytest.raises(RangeError):
         largest_violation(Fraction(1), 1, 100, 10, store_10m)
+
+
+@pytest.mark.parametrize(
+    "c,e,lo,hi",
+    [
+        # log^271 x overflows a float past x = 9e5: the threshold read x
+        pytest.param(Fraction(10**305), 271, 990_000, 10**6, id="log-pow-inf"),
+        # c itself is past the float range
+        pytest.param(Fraction(10**400), 1, 3, 10**4, id="c-inf"),
+    ],
+)
+def test_non_finite_floats_decided_exactly(store_10m, c, e, lo, hi):
+    thm = GapTheorem("custom", 3, c, e)
+    start = time.perf_counter()
+    report = verify_theorem(thm, lo, hi, store_10m)
+    assert time.perf_counter() - start < 5
+    p, q = store_10m.gap_arrays(lo, hi)
+    exact = [
+        (int(a), int(b))
+        for a, b in zip(p, q)
+        if not thm.threshold_exceeds(max(int(a), lo), int(b))
+    ]
+    assert [(a, b) for a, b, _ in report.violations] == exact == []
