@@ -3,6 +3,7 @@ short-interval prime theorems, breakpoint tables, and empirical theorem
 verification over prime ranges."""
 
 from .core import (
+    Answer,
     BreakpointEntry,
     breakpoints,
     brute_force_R,
@@ -25,6 +26,7 @@ from .verify import VerificationReport, verify_theorem
 
 __all__ = [
     "AXLER",
+    "Answer",
     "BUILTIN_THEOREMS",
     "BreakpointEntry",
     "DUSART",

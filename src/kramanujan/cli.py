@@ -71,12 +71,11 @@ def cmd_compute(args) -> int:
         "method": method,
     }
     if method == "table":
-        bound = core.certified_bound(k)
-        prime, index = core.first_k_ramanujan(k)
-        record["prime"] = prime
-        record["index"] = index
-        record["certified_bound"] = bound
-        if core.k_equals_gap_ratio(k, core.shared_store(bound)):
+        answer = core.first_k_ramanujan(k)
+        record["prime"] = answer.prime
+        record["index"] = answer.index
+        record["certified_bound"] = answer.bound
+        if answer.k_equals_gap_ratio:
             record["k_equals_gap_ratio"] = True
     else:
         prime = core.brute_force_R(k, args.n, args.scan_limit)

@@ -46,6 +46,17 @@ class BreakpointEntry:
     ratio: Fraction
 
 
+@dataclass(frozen=True)
+class Answer:
+    """R_1^(k) = p_index, read below the certified bound that was searched,
+    and whether k is exactly some gap ratio p_n/p_{n-1}."""
+
+    prime: int
+    index: int
+    bound: int
+    k_equals_gap_ratio: bool
+
+
 def shared_store(limit: int) -> PrimeStore:
     """Cached sieve reaching at least ``limit``.
 
@@ -86,18 +97,19 @@ def certified_bound(k: Fraction) -> int:
     return min(bounds)
 
 
-def first_k_ramanujan(k: Fraction) -> tuple[int, int]:
-    """R_1^(k) and its 1-based prime index.
+def first_k_ramanujan(k: Fraction) -> Answer:
+    """R_1^(k) as an Answer(prime, index, bound, k_equals_gap_ratio).
 
-    The answer is p_m for m = max{n >= 2 | p_n/p_{n-1} > k}, the last row
-    of the record table above k, or 2 when no gap ratio exceeds k; past the
-    certified bound no ratio exceeds k, so only the primes up to it are
-    searched, in the shared store.
+    The prime is p_m for m = max{n >= 2 | p_n/p_{n-1} > k}, the last row of
+    the record table above k, or 2 when no gap ratio exceeds k.  Past the
+    certified bound no ratio exceeds k, so only the shared store up to it is
+    searched; it decides the flag too, as p_a/p_{a-1} = k puts p_a below it.
     """
     bound = certified_bound(k)
     store = shared_store(bound)
     rows = breakpoints(k, store.prime_count(bound), store)
-    return (rows[-1].prime, rows[-1].index) if rows else (2, 1)
+    prime, index = (rows[-1].prime, rows[-1].index) if rows else (2, 1)
+    return Answer(prime, index, bound, k_equals_gap_ratio(k, store))
 
 
 def brute_force_R(k: Fraction, n: int, scan_limit: int) -> int:

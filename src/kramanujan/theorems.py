@@ -37,8 +37,10 @@ def _enclose(start: int, prec: int, *steps) -> tuple[Decimal, Decimal]:
     """Ends around what the steps (op, *args), each v -> op(ctx, v, *args), make
     of start, at prec // 3 digits (at least prec bits) and any exponent."""
     ctx = Context(prec // 3, ROUND_HALF_EVEN, MIN_EMIN, MAX_EMAX, traps=[])
-    lo = hi = start
-    for op, *args in steps:
+    (op, *args), *rest = steps
+    v = op(ctx, start, *args)
+    lo, hi = ctx.next_minus(v), ctx.next_plus(v)
+    for op, *args in rest:
         lo, hi = ctx.next_minus(op(ctx, lo, *args)), ctx.next_plus(op(ctx, hi, *args))
     return lo, hi
 

@@ -1,10 +1,10 @@
 """Empirical verification of short-interval prime theorems over prime ranges.
 
-The threshold function x(1 + c/log^e x) is increasing for x >= 3, so over
-the real points inside a prime gap (p, q) the binding check is at the left
-end: x = p, or x = lo when lo falls inside the gap.  One check per gap
-therefore covers every real x in the scanned range.  A float64 prescreen
-and its guard, owned here, leave only the doubtful gaps to exact decisions.
+The threshold x(1 + c/log^e x) has slope 1 + c(log x - e)/log^(e+1) x >= 1
+where log x >= e, so from any lo >= 3^e (every built-in x0) one check per gap
+(p, q), at x = p or at x = lo inside it, covers every real x in the scanned
+range; below e^e the threshold can dip inside a gap and hide a violation.  A
+float64 prescreen and its guard leave only the doubtful gaps to exact checks.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def verify_theorem(
     """Check every gap intersecting [lo, hi] against the theorem's interval.
 
     Zero violations certifies the statement empirically for all real x from
-    lo up to the start of the last checked pair.
+    lo up to the start of the last checked pair, when log lo >= e (lo >= 3^e).
     """
     if lo < max(thm.x0, 3):
         raise DomainError(

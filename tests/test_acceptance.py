@@ -84,7 +84,7 @@ def test_criterion_4_oracle_vs_characterization():
         # exact rational k uniformly in (1.001, 1.7)
         k = Fraction(1) + Fraction(rng.randint(1_001, 699_999), 1_000_000)
         scan = 2 * certified_bound(k)
-        assert brute_force_R(k, 1, scan) == first_k_ramanujan(k)[0], f"k = {k}"
+        assert brute_force_R(k, 1, scan) == first_k_ramanujan(k).prime, f"k = {k}"
     elapsed = time.perf_counter() - start
     assert elapsed < 300
     report(4, f"200 oracle/fast-path agreements in {elapsed:.1f}s")
@@ -104,7 +104,8 @@ def test_criterion_5_theorem_verification_to_1e8(store_100m):
 
 def test_criterion_6_remark_a():
     for k in (Fraction(5, 3), Fraction("1.7"), Fraction(2), Fraction(10)):
-        assert first_k_ramanujan(k) == (2, 1), f"k = {k}"
+        answer = first_k_ramanujan(k)
+        assert (answer.prime, answer.index) == (2, 1), f"k = {k}"
     report(6, "R_1 = 2 for k in {5/3, 1.7, 2, 10}")
 
 
@@ -130,5 +131,6 @@ def test_criterion_8_monotonicity():
         a = Fraction(1) + Fraction(rng.randint(1_001, 699_999), 1_000_000)
         b = Fraction(1) + Fraction(rng.randint(1_001, 699_999), 1_000_000)
         k1, k2 = min(a, b), max(a, b)
-        assert first_k_ramanujan(k1)[0] >= first_k_ramanujan(k2)[0], f"{k1} vs {k2}"
+        r1, r2 = first_k_ramanujan(k1).prime, first_k_ramanujan(k2).prime
+        assert r1 >= r2, f"{k1} vs {k2}"
     report(8, "R_1 monotone non-increasing over 100 random pairs")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from kramanujan import breakpoints
+from kramanujan import breakpoints, core
 from kramanujan.cli import main
 
 
@@ -225,6 +225,58 @@ def test_table_small_index_limits(capsys, store_60k, index_limit):
     assert [(r["a"], r["prime"], r["prev_prime"]) for r in rec["rows"]] == [
         (e.index, e.prime, e.prev_prime) for e in expected
     ]
+
+
+def test_compute_evaluates_the_bound_once(capsys, monkeypatch):
+    calls = []
+    bound = core.certified_bound
+
+    def counting(k):
+        calls.append(k)
+        return bound(k)
+
+    monkeypatch.setattr(core, "certified_bound", counting)
+    code, rec = run_json(capsys, "compute", "--k", "1.0001")
+    assert code == 0
+    assert rec["certified_bound"] == 2898360
+    assert calls == [Fraction("1.0001")]
+
+
+@pytest.mark.parametrize(
+    "k,text",
+    [
+        (
+            "1.0008968291",
+            "{\n"
+            '  "schema": "compute",\n'
+            '  "k": "10008968291/10000000000",\n'
+            '  "k_decimal": 1.0008968291,\n'
+            '  "n": 1,\n'
+            '  "method": "table",\n'
+            '  "prime": 58889,\n'
+            '  "index": 5950,\n'
+            '  "certified_bound": 58890\n'
+            "}\n",
+        ),
+        (
+            "5/3",
+            "{\n"
+            '  "schema": "compute",\n'
+            '  "k": "5/3",\n'
+            '  "k_decimal": 1.6666666666666667,\n'
+            '  "n": 1,\n'
+            '  "method": "table",\n'
+            '  "prime": 2,\n'
+            '  "index": 1,\n'
+            '  "certified_bound": 58890,\n'
+            '  "k_equals_gap_ratio": true\n'
+            "}\n",
+        ),
+    ],
+)
+def test_compute_output_bytes(capsys, k, text):
+    # the stdout contract: key order, indent 2, the flag only when true
+    assert run(capsys, "compute", "--k", k) == (0, text, "")
 
 
 def test_table_output_bit_stable(capsys):

@@ -155,13 +155,14 @@ class TestFirstKRamanujan:
         ],
     )
     def test_known_values(self, k, expected):
-        assert first_k_ramanujan(k) == expected
+        answer = first_k_ramanujan(k)
+        assert (answer.prime, answer.index) == expected
 
     def test_theorem_path_agrees_with_oracle(self):
         for text in ("1.0005", "1.0003"):
             k = parse_rational(text)
             bound = certified_bound(k)
-            prime, index = first_k_ramanujan(k)
+            prime = first_k_ramanujan(k).prime
             assert prime <= bound
             assert brute_force_R(k, 1, 2 * bound) == prime
 
@@ -180,7 +181,7 @@ class TestFirstKRamanujan:
         for _ in range(12):
             k = 1 + Fraction(math.exp(rng.uniform(lo, hi))).limit_denominator(10**12)
             bound = certified_bound(k)
-            prime, _ = first_k_ramanujan(k)
+            prime = first_k_ramanujan(k).prime
             assert prime <= bound
             assert brute_force_R(k, 1, 2 * bound) == prime, f"k = {k}"
 
@@ -202,7 +203,7 @@ class TestBruteForce:
 
     def test_three_halves(self):
         assert brute_force_R(Fraction(3, 2), 1, 1000) == 11
-        assert first_k_ramanujan(Fraction(3, 2))[0] == 11
+        assert first_k_ramanujan(Fraction(3, 2)).prime == 11
 
     def test_inconclusive_tail(self):
         # last failure near 58888 is above 80000/2
@@ -218,7 +219,8 @@ class TestCharacterization:
     def test_paper_index(self, store_60k):
         k = parse_rational("1.0008968291")
         assert characterizes(5950, k, store_60k)
-        assert first_k_ramanujan(k) == (58889, 5950)
+        answer = first_k_ramanujan(k)
+        assert (answer.prime, answer.index) == (58889, 5950)
 
     def test_off_by_one_fails(self, store_60k):
         assert not characterizes(5949, parse_rational("1.0008968291"), store_60k)
@@ -229,7 +231,8 @@ class TestCharacterization:
 
     def test_index_one_vacuous(self, store_60k):
         assert characterizes(1, Fraction(2), store_60k)
-        assert first_k_ramanujan(Fraction(2)) == (2, 1)
+        answer = first_k_ramanujan(Fraction(2))
+        assert (answer.prime, answer.index) == (2, 1)
 
 
 class TestBreakpoints:
@@ -291,3 +294,19 @@ def test_breakpoints_match_reference(store_10m, data):
 def test_k_equals_gap_ratio_flag(store_60k):
     assert k_equals_gap_ratio(Fraction(127, 113), store_60k)
     assert not k_equals_gap_ratio(Fraction("1.1"), store_60k)
+
+
+@pytest.mark.parametrize(
+    "k",
+    [
+        Fraction(127, 113),
+        Fraction(5, 3),
+        Fraction(3, 2),
+        Fraction(58889, 58831),
+        Fraction("1.1"),
+        Fraction("1.0008968291"),
+    ],
+)
+def test_answer_flag_agrees_with_the_store(store_60k, k):
+    # the store behind the certified bound decides the flag as a 60k store does
+    assert first_k_ramanujan(k).k_equals_gap_ratio == k_equals_gap_ratio(k, store_60k)

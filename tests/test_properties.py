@@ -28,7 +28,8 @@ ks = st.fractions(
 @settings(max_examples=60, deadline=None)
 @given(ks)
 def test_oracle_equivalence(k):
-    prime, index = first_k_ramanujan(k)
+    answer = first_k_ramanujan(k)
+    prime, index = answer.prime, answer.index
     assert brute_force_R(k, 1, 2 * FAST_BOUND) == prime
     store = shared_store(2 * FAST_BOUND)
     assert store.nth_prime(index) == prime
@@ -39,7 +40,7 @@ def test_oracle_equivalence(k):
 def test_monotone_in_k(k1, k2):
     if k1 > k2:
         k1, k2 = k2, k1
-    assert first_k_ramanujan(k1)[0] >= first_k_ramanujan(k2)[0]
+    assert first_k_ramanujan(k1).prime >= first_k_ramanujan(k2).prime
 
 
 @settings(max_examples=60, deadline=None)
@@ -47,7 +48,7 @@ def test_monotone_in_k(k1, k2):
 def test_characterization_closure(store_60k, k):
     # p_m/p_{m-1} > k (vacuous for m = 1), and no later ratio exceeds k
     ps = store_60k.primes.tolist()
-    _, m = first_k_ramanujan(k)
+    m = first_k_ramanujan(k).index
     above = [
         a
         for a in range(2, len(ps) + 1)
@@ -59,7 +60,7 @@ def test_characterization_closure(store_60k, k):
 @settings(max_examples=40, deadline=None)
 @given(ks)
 def test_bound_soundness(k):
-    prime, _ = first_k_ramanujan(k)
+    prime = first_k_ramanujan(k).prime
     for thm in BUILTIN_THEOREMS.values():
         if thm.admits(k):
             assert prime <= cor_bound(k, thm)
@@ -78,7 +79,7 @@ def test_table_coherence(data):
     k = lo + (hi - lo) * t
     if k >= hi:
         k = lo
-    assert first_k_ramanujan(k)[0] == rows[i].prime
+    assert first_k_ramanujan(k).prime == rows[i].prime
 
 
 @settings(max_examples=50, deadline=None)

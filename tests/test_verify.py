@@ -7,6 +7,7 @@ import pytest
 import kramanujan.verify as verify_mod
 from kramanujan import (
     AXLER,
+    BUILTIN_THEOREMS,
     DUSART,
     DomainError,
     GapTheorem,
@@ -26,6 +27,13 @@ def largest_violation(c, e, lo, hi, store):
     inside = p >= lo  # threshold is taken at x = p, so straddle is excluded
     hits = verify_mod._scan_chunk(probe, p[inside], q[inside], lo=2)  # ascending
     return hits[-1][:2] if hits else None
+
+
+def test_builtin_x0_where_the_threshold_rises():
+    # x(1 + c/log^e x) has slope >= 1 where log x >= e, so one check per gap
+    # covers every real x from any lo >= 3^e; each scan starts at x0 or above
+    for thm in BUILTIN_THEOREMS.values():
+        assert thm.x0 >= 3**thm.e, thm.name
 
 
 def test_axler_holds_to_10m(store_10m):
