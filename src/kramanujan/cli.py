@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import chain, islice
 
 from . import core
 from .errors import KRamanujanError
@@ -22,6 +23,9 @@ from .verify import verify_theorem
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATIONS = 3
+# stdout takes one write per this many chunks, not one per JSON token.
+# Semantically invisible: stdout is identical for any positive value (tested).
+_WRITE_BATCH = 4096
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,9 +52,14 @@ def _resolve_theorem(args) -> GapTheorem:
     return GapTheorem("custom", args.x0, core.parse_rational(args.c), args.e)
 
 
+def _write(chunks) -> None:
+    chunks = iter(chunks)
+    for batch in iter(lambda: list(islice(chunks, _WRITE_BATCH)), []):
+        sys.stdout.write("".join(batch))
+
+
 def _emit(record: dict) -> None:
-    json.dump(record, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _write(chain(json.JSONEncoder(indent=2).iterencode(record), "\n"))
 
 
 def cmd_compute(args) -> int:
@@ -109,12 +118,11 @@ def cmd_table(args) -> int:
     store = core.shared_store(_table_sieve_limit(args.index_limit))
     rows = core.breakpoints(k_min, args.index_limit, store)
     if args.format == "csv":
-        print("n,a,prime,prev_prime,ratio_num,ratio_den")
-        for n, r in enumerate(rows, start=1):
-            print(
-                f"{n},{r.index},{r.prime},{r.prev_prime},"
-                f"{r.ratio.numerator},{r.ratio.denominator}"
-            )
+        _write(chain(["n,a,prime,prev_prime,ratio_num,ratio_den\n"], (
+            f"{n},{r.index},{r.prime},{r.prev_prime},"
+            f"{r.ratio.numerator},{r.ratio.denominator}\n"
+            for n, r in enumerate(rows, start=1)
+        )))
     else:
         _emit(
             {

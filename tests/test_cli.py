@@ -1,7 +1,11 @@
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from kramanujan import breakpoints, core
+from kramanujan import breakpoints, cli, core
 from kramanujan.cli import main
 
 
@@ -279,6 +283,98 @@ def test_compute_output_bytes(capsys, k, text):
     assert run(capsys, "compute", "--k", k) == (0, text, "")
 
 
+TABLE_16_CSV = """\
+n,a,prime,prev_prime,ratio_num,ratio_den
+1,3,5,3,5,3
+2,5,11,7,11,7
+3,7,17,13,17,13
+4,10,29,23,29,23
+5,12,37,31,37,31
+6,16,53,47,53,47
+"""
+
+TABLE_16_JSON = """\
+{
+  "schema": "table",
+  "k_min": "10008968291/10000000000",
+  "index_limit": 16,
+  "rows": [
+    {
+      "n": 1,
+      "a": 3,
+      "prime": 5,
+      "prev_prime": 3,
+      "ratio": "5/3"
+    },
+    {
+      "n": 2,
+      "a": 5,
+      "prime": 11,
+      "prev_prime": 7,
+      "ratio": "11/7"
+    },
+    {
+      "n": 3,
+      "a": 7,
+      "prime": 17,
+      "prev_prime": 13,
+      "ratio": "17/13"
+    },
+    {
+      "n": 4,
+      "a": 10,
+      "prime": 29,
+      "prev_prime": 23,
+      "ratio": "29/23"
+    },
+    {
+      "n": 5,
+      "a": 12,
+      "prime": 37,
+      "prev_prime": 31,
+      "ratio": "37/31"
+    },
+    {
+      "n": 6,
+      "a": 16,
+      "prime": 53,
+      "prev_prime": 47,
+      "ratio": "53/47"
+    }
+  ]
+}
+"""
+
+BOUND_AXLER = """\
+{
+  "schema": "bound",
+  "k": "10008968291/10000000000",
+  "k_decimal": 1.0008968291,
+  "theorem": {
+    "name": "axler",
+    "x0": 58837,
+    "c": "297/250",
+    "e": 3
+  },
+  "bound": 58890
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (["table", "--index-limit", "16"], TABLE_16_CSV),
+        (["table", "--index-limit", "16", "--format", "json"], TABLE_16_JSON),
+        (["bound", "--k", "1.0008968291", "--theorem", "axler"], BOUND_AXLER),
+    ],
+    ids=["table-csv", "table-json", "bound"],
+)
+def test_table_and_bound_output_bytes(capsys, argv, text):
+    # integers and k_decimal only: no libm-dependent float is pinned
+    assert run(capsys, *argv) == (0, text, "")
+
+
 def test_table_output_bit_stable(capsys):
     a = run(capsys, "table")[1]
     b = run(capsys, "table")[1]
@@ -422,20 +518,118 @@ def test_verify_exponent_past_float_range(capsys):
     assert len(rec["violations"]) == rec["pairs_checked"] == 166
 
 
-def run_fresh(*argv):
-    # a fresh interpreter, with the package on PYTHONPATH
-    root = Path(__file__).resolve().parents[1]
+VIOLATING_VERIFY = [
+    "verify", "--theorem", "custom", "--x0", "58837", "--c", "0.05",
+    "--e", "3", "--from", "58837", "--to", "1000000",
+]
+
+
+def mask_elapsed(text):
+    return re.sub(r'"elapsed_seconds": [0-9.e+-]+', '"elapsed_seconds": 0', text)
+
+
+class CountingStdout(io.StringIO):
+    writes = 0
+
+    def write(self, s):
+        self.writes += 1
+        return super().write(s)
+
+
+@pytest.mark.parametrize(
+    "argv,exit_code,max_writes",
+    [(VIOLATING_VERIFY, 3, 999), (["table"], 0, 1)],
+    ids=["verify", "table"],
+)
+def test_stdout_writes_are_batched(monkeypatch, argv, exit_code, max_writes):
+    # 36,275 violations are 580,451 JSON tokens, and the CSV table was two
+    # prints per row; each write is a syscall when stdout is unbuffered
+    default = cli._WRITE_BATCH
+    runs = {}
+    for batch in (1, 7, default):
+        monkeypatch.setattr(cli, "_WRITE_BATCH", batch)
+        out = CountingStdout()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == exit_code
+        runs[batch] = (mask_elapsed(out.getvalue()), out.writes)
+    text, chunks = runs[1]
+    for batch, (other, writes) in runs.items():
+        # batch seams do not show, and each batch is one write
+        assert other == text
+        assert writes == math.ceil(chunks / batch)
+    assert runs[default][1] <= max_writes
+    if argv[0] == "verify":
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert len(json.loads(text)["violations"]) == 36275
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def fresh_env():
+    # a fresh interpreter's environment, with the package on PYTHONPATH
     path = os.pathsep.join(
-        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
     )
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_fresh(*argv, env=None):
     return subprocess.run(
         argv,
-        cwd=root,
-        env=dict(os.environ, PYTHONPATH=path),
+        cwd=REPO,
+        env=env or fresh_env(),
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def stdout_env(unbuffered):
+    env = fresh_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize(
+    "argv,exit_code",
+    [(VIOLATING_VERIFY, 3), (["table"], 0)],
+    ids=["verify", "table"],
+)
+def test_stdout_does_not_depend_on_pythonunbuffered(argv, exit_code):
+    outs = []
+    for unbuffered in (True, False):
+        proc = run_fresh(
+            sys.executable, "-m", "kramanujan.cli", *argv,
+            env=stdout_env(unbuffered),
+        )
+        assert (proc.returncode, proc.stderr) == (exit_code, "")
+        outs.append(mask_elapsed(proc.stdout))
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_reader_that_closes_early_gets_exit_0(unbuffered):
+    # 3.4 MB cannot fit in the pipe, so a write meets the closed end
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kramanujan.cli", *VIOLATING_VERIFY],
+        cwd=REPO,
+        env=stdout_env(unbuffered),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        assert proc.stdout.readline() == "{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 0
+        assert proc.stderr.read() == ""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
 
 
 def run_module_entry_point(prefix):
