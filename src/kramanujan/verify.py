@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
-from .primes import PrimeStore
+from .errors import DomainError, RangeError
+from .primes import segments
 from .theorems import GapTheorem
 
 # Relative guard of the prescreen of x(1 + c/log^e x), which decides only finite
@@ -56,7 +56,7 @@ def _scan_chunk(
         log_pow = np.log(x) ** min(thm.e, sys.float_info.max)  # inf past e = 7547
         thr = x * (1.0 + c / log_pow)
         margin = (thr - q) / thr
-        if not np.isfinite(log_pow[-1] + thr[-1]):  # both rise with x
+        if len(p) and not np.isfinite(log_pow[-1] + thr[-1]):  # both rise with x
             margin[~np.isfinite(log_pow + thr)] = 0.0  # inside the guard: exact
     out = []
     for j in np.flatnonzero(margin < PRESCREEN_GUARD).tolist():
@@ -66,10 +66,23 @@ def _scan_chunk(
     return out
 
 
+def _scan_segment(thm: GapTheorem, segment, lo: int) -> tuple:
+    """Sieve one segment and scan its pairs (p, q) with q > lo in slices: its
+    first and last primes (lists, empty without a prime), pairs, violations."""
+    primes = segment()
+    a = int(np.searchsorted(primes[1:], lo, side="right"))
+    p, q, step = primes[a:-1], primes[a + 1 :], _SCAN_PAIRS
+    found = []
+    for s in range(0, len(p), step):
+        found += _scan_chunk(thm, p[s : s + step], q[s : s + step], lo)
+    return primes[:1].tolist(), primes[-1:].tolist(), len(p), found
+
+
 def verify_theorem(
-    thm: GapTheorem, lo: int, hi: int, store: PrimeStore, jobs: int = 1
+    thm: GapTheorem, lo: int, hi: int, jobs: int = 1
 ) -> VerificationReport:
-    """Check every gap intersecting [lo, hi] against the theorem's interval.
+    """Check the pi(hi) - pi(lo) pairs of consecutive primes (p, q) with
+    lo < q <= hi; ``jobs`` threads sieve and scan one segment each.
 
     Zero violations certifies the statement empirically for all real x from
     lo up to the start of the last checked pair, when log lo >= e (lo >= 3^e).
@@ -78,20 +91,24 @@ def verify_theorem(
         raise DomainError(
             f"scan start {lo} is below the theorem's validity threshold {thm.x0}"
         )
+    if lo > hi:
+        raise RangeError(f"empty verification range [{lo}, {hi}]")
     start = time.perf_counter()
-    p, q = store.gap_arrays(lo, hi)
-    step = _SCAN_PAIRS
+    pairs, violations, last = 0, [], []
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        parts = pool.map(
-            lambda a: _scan_chunk(thm, p[a : a + step], q[a : a + step], lo),
-            range(0, len(p), step),
-        )
-        violations = [v for part in parts for v in part]
+        scans = pool.map(lambda seg: _scan_segment(thm, seg, lo), segments(hi))
+        for first, end, count, found in scans:
+            if last and first and first[0] > lo:  # the seam pair, in order
+                violations += _scan_chunk(thm, np.array(last), np.array(first), lo)
+                pairs += 1
+            pairs += count
+            violations += found
+            last = end or last  # a segment without a prime carries it over
     return VerificationReport(
         theorem=thm,
         lo=lo,
         hi=hi,
-        pairs_checked=len(p),
+        pairs_checked=pairs,
         violations=violations,
         elapsed=time.perf_counter() - start,
     )

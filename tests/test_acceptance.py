@@ -11,7 +11,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from kramanujan import (
     AXLER,
@@ -43,11 +42,6 @@ TABLE_P = [
 
 def report(n, desc):
     print(f"\nACCEPTANCE {n}: PASS - {desc}")
-
-
-@pytest.fixture(scope="module")
-def store_100m():
-    return sieve_upto(10**8)
 
 
 def test_criterion_1_first_k_ramanujan_paper_value(capsys):
@@ -90,10 +84,10 @@ def test_criterion_4_oracle_vs_characterization():
     report(4, f"200 oracle/fast-path agreements in {elapsed:.1f}s")
 
 
-def test_criterion_5_theorem_verification_to_1e8(store_100m):
-    r1 = verify_theorem(AXLER, 58837, 10**8, store_100m)
+def test_criterion_5_theorem_verification_to_1e8():
+    r1 = verify_theorem(AXLER, 58837, 10**8)
     assert r1.ok and r1.elapsed < 180
-    r2 = verify_theorem(DUSART, 396738, 10**8, store_100m)
+    r2 = verify_theorem(DUSART, 396738, 10**8)
     assert r2.ok and r2.elapsed < 180
     report(
         5,

@@ -97,7 +97,7 @@ def test_threshold_exceeds_matches_reference(thm, x, delta):
     assert thm.threshold_exceeds(x, q) == want
 
 
-def test_no_global_precision_writes_from_threads(monkeypatch, store_10m):
+def test_no_global_precision_writes_from_threads(monkeypatch):
     calls = [
         (certified_bound, (Fraction("1.0008968291"),)),
         (certified_bound, (Fraction("1.00002"),)),
@@ -112,7 +112,7 @@ def test_no_global_precision_writes_from_threads(monkeypatch, store_10m):
         (AXLER.threshold_exceeds, (58837, 58889)),
     ]
     want = [f(*args) for f, args in calls]
-    report = verify_theorem(WEAK, 58837, 10**6, store_10m)
+    report = verify_theorem(WEAK, 58837, 10**6)
 
     # every worker thread holds a decimal context that would round, flag or
     # raise on any operation the package let read it
@@ -148,7 +148,7 @@ def test_no_global_precision_writes_from_threads(monkeypatch, store_10m):
     try:
         with ThreadPoolExecutor(max_workers=8, initializer=set_hostile_context) as pool:
             got = list(pool.map(call, calls * 20))
-        jobs4 = verify_theorem(WEAK, 58837, 10**6, store_10m, jobs=4)
+        jobs4 = verify_theorem(WEAK, 58837, 10**6, jobs=4)
     finally:
         sys.setswitchinterval(interval)
     assert writes == []

@@ -1,9 +1,15 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kramanujan.primes as primes_mod
 import kramanujan.verify as verify_mod
 from kramanujan import (
     AXLER,
@@ -12,10 +18,17 @@ from kramanujan import (
     DomainError,
     GapTheorem,
     RangeError,
+    ResourceLimitError,
+    sieve_upto,
     verify_theorem,
 )
 
 CUSTOM_WEAK = GapTheorem("custom", 58837, Fraction("0.05"), 3)
+# custom theorems from x0 = 3 that both hold and fail on gaps below 2*10^4
+MIXED = [
+    GapTheorem("custom", 3, Fraction(1), 3),
+    GapTheorem("custom", 3, Fraction(3, 10), 2),
+]
 
 
 def largest_violation(c, e, lo, hi, store):
@@ -36,19 +49,19 @@ def test_builtin_x0_where_the_threshold_rises():
         assert thm.x0 >= 3**thm.e, thm.name
 
 
-def test_axler_holds_to_10m(store_10m):
-    report = verify_theorem(AXLER, 58837, 10**7, store_10m)
+def test_axler_holds_to_10m():
+    report = verify_theorem(AXLER, 58837, 10**7)
     assert report.ok
     assert report.pairs_checked > 600_000
 
 
-def test_dusart_holds_to_10m(store_10m):
-    report = verify_theorem(DUSART, 396738, 10**7, store_10m)
+def test_dusart_holds_to_10m():
+    report = verify_theorem(DUSART, 396738, 10**7)
     assert report.ok
 
 
-def test_weak_candidate_fails(store_10m):
-    report = verify_theorem(CUSTOM_WEAK, 58837, 10**6, store_10m)
+def test_weak_candidate_fails():
+    report = verify_theorem(CUSTOM_WEAK, 58837, 10**6)
     assert not report.ok
     p, q, thr = report.violations[0]
     assert q > thr
@@ -56,62 +69,64 @@ def test_weak_candidate_fails(store_10m):
     assert (58831, 58889) in {(v[0], v[1]) for v in report.violations}
 
 
-def test_straddling_gap_checked_at_lo(store_10m):
+def test_straddling_gap_checked_at_lo():
     # lo = 58837 falls inside the gap (58831, 58889); the check runs at
     # x = 58837 and the interval reaches past 58889
-    report = verify_theorem(AXLER, 58837, 58890, store_10m)
+    report = verify_theorem(AXLER, 58837, 58890)
     assert report.ok
-    assert report.pairs_checked == 2
+    assert report.pairs_checked == 1  # pi(58890) - pi(58837)
 
 
-def test_below_validity_threshold_rejected(store_10m):
+def test_below_validity_threshold_rejected():
     with pytest.raises(DomainError):
-        verify_theorem(AXLER, 1000, 10**6, store_10m)
+        verify_theorem(AXLER, 1000, 10**6)
 
 
-def test_range_errors(store_10m):
+def test_range_errors():
     with pytest.raises(RangeError):
-        verify_theorem(AXLER, 10**6, 10**5, store_10m)
-    with pytest.raises(RangeError):
-        verify_theorem(AXLER, 58837, store_10m.limit + 1, store_10m)
+        verify_theorem(AXLER, 10**6, 10**5)
+    with pytest.raises(ResourceLimitError):
+        verify_theorem(AXLER, 58837, primes_mod.DEFAULT_SIEVE_BUDGET + 1)
 
 
-def test_determinism_and_jobs_merge(store_10m, monkeypatch):
-    # the store reaches past 10^6, so the pair 999983 -> 1000003 counts too
-    cases = [(CUSTOM_WEAK, 58837, 10**6, 36_276), (AXLER, AXLER.x0, 10**7, 0)]
-    expected = [verify_theorem(t, lo, hi, store_10m) for t, lo, hi, _ in cases]
-    # small slices put seams inside both ranges
+def test_determinism_and_jobs_merge(monkeypatch):
+    # the report depends only on [lo, hi]: the pairs end at q <= hi, so the
+    # pair 999983 -> 1000003 past 10^6 is not checked
+    cases = [(CUSTOM_WEAK, 58837, 10**6, 36_275), (AXLER, AXLER.x0, 10**7, 0)]
+    expected = [verify_theorem(t, lo, hi) for t, lo, hi, _ in cases]
+    # small slices and segments put both kinds of seam inside both ranges
     monkeypatch.setattr(verify_mod, "_SCAN_PAIRS", 1000)
+    monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", 100_000)
     for (thm, lo, hi, count), want in zip(cases, expected):
         assert len(want.violations) == count
         assert want.violations == sorted(want.violations)
         for jobs in (1, 2, 3):
-            got = verify_theorem(thm, lo, hi, store_10m, jobs=jobs)
+            got = verify_theorem(thm, lo, hi, jobs=jobs)
             assert got.violations == want.violations
             assert got.pairs_checked == want.pairs_checked
 
 
-def test_float_margin_matches_full_recheck(store_10m):
+def test_float_margin_matches_full_recheck():
     # every gap decided at 50 digits gives the same violations as the float
     # prescreen, which rechecks only thin margins
     lo, hi = 58837, 150_000
-    p, q = store_10m.gap_arrays(lo, hi)
+    p, q = sieve_upto(hi).gap_arrays(lo, hi)
     for thm in (CUSTOM_WEAK, GapTheorem("custom", 58837, Fraction("0.5"), 3)):
         want = [
             (int(a), int(b))
             for a, b in zip(p, q)
             if not thm.threshold_exceeds(max(int(a), lo), int(b))
         ]
-        got = verify_theorem(thm, lo, hi, store_10m).violations
+        got = verify_theorem(thm, lo, hi).violations
         assert [(a, b) for a, b, _ in got] == want
         assert want
 
 
-def test_weaker_theorem_never_worse(store_10m):
+def test_weaker_theorem_never_worse():
     # same exponent, larger allowance: violation set can only shrink
-    weak = verify_theorem(CUSTOM_WEAK, 58837, 10**6, store_10m)
+    weak = verify_theorem(CUSTOM_WEAK, 58837, 10**6)
     stronger_c = GapTheorem("custom", 58837, Fraction("0.02"), 3)
-    strong = verify_theorem(stronger_c, 58837, 10**6, store_10m)
+    strong = verify_theorem(stronger_c, 58837, 10**6)
     assert len(weak.violations) <= len(strong.violations)
     assert {(p, q) for p, q, _ in weak.violations} <= {
         (p, q) for p, q, _ in strong.violations
@@ -148,7 +163,7 @@ def test_largest_violation_range_error(store_10m):
 def test_non_finite_floats_decided_exactly(store_10m, c, e, lo, hi):
     thm = GapTheorem("custom", 3, c, e)
     start = time.perf_counter()
-    report = verify_theorem(thm, lo, hi, store_10m)
+    report = verify_theorem(thm, lo, hi)
     assert time.perf_counter() - start < 5
     p, q = store_10m.gap_arrays(lo, hi)
     exact = [
@@ -157,3 +172,70 @@ def test_non_finite_floats_decided_exactly(store_10m, c, e, lo, hi):
         if not thm.threshold_exceeds(max(int(a), lo), int(b))
     ]
     assert [(a, b) for a, b, _ in report.violations] == exact == []
+
+
+def _assert_streams_like_stored_table(thm, lo, hi, jobs):
+    # the pairs of a table sieved to hi, scanned as one slice
+    p, q = sieve_upto(hi).gap_arrays(lo, hi)
+    report = verify_theorem(thm, lo, hi, jobs=jobs)
+    assert report.violations == verify_mod._scan_chunk(thm, p, q, lo)
+    assert report.pairs_checked == len(p)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    thm=st.sampled_from(MIXED),
+    odds=st.sampled_from([1, 8, 56, 1000]),
+    jobs=st.sampled_from([1, 3]),
+    ends=st.lists(st.integers(3, 20_000), min_size=2, max_size=2),
+)
+def test_streaming_matches_stored_table(thm, odds, jobs, ends):
+    with mock.patch.object(primes_mod, "_SEGMENT_ODDS", odds):
+        _assert_streams_like_stored_table(thm, *sorted(ends), jobs)
+
+
+@pytest.mark.parametrize(
+    "lo,hi,odds",
+    [
+        pytest.param(3, 3, 8, id="3..3"),
+        pytest.param(4, 4, 8, id="4..4"),
+        pytest.param(5003, 9973, 8, id="lo-and-hi-prime"),
+        # with 8 odds the seams are at 3 + 16j, and 19 is prime
+        pytest.param(18, 400, 8, id="lo-below-seam-19"),
+        pytest.param(19, 400, 8, id="lo-on-seam-19"),
+        # with 56 odds the seams are at 3 + 112j; 1347..1360 holds no prime
+        pytest.param(1346, 1500, 56, id="lo-below-seam-1347"),
+        # segments of one odd each: most hold no prime
+        pytest.param(1000, 2000, 1, id="empty-segments"),
+    ],
+)
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_streaming_edges(lo, hi, odds, jobs, monkeypatch):
+    monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", odds)
+    for thm in MIXED:
+        _assert_streams_like_stored_table(thm, lo, hi, jobs)
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_streaming_empty_last_segment(jobs, monkeypatch):
+    monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", 56)
+    assert primes_mod.segments(1359)[-1]().size == 0  # [1347, 1359]
+    for thm in MIXED:
+        _assert_streams_like_stored_table(thm, 100, 1359, jobs)
+
+
+def test_streaming_memory_is_per_segment():
+    # a table to 5*10^7 alone is 24 MB of int64 primes
+    tracemalloc.start()
+    try:
+        report = verify_theorem(AXLER, AXLER.x0, 5 * 10**7, jobs=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 16 * 2**20
+
+
+def test_scan_chunk_accepts_zero_pairs():
+    empty = np.empty(0, dtype=np.int64)
+    assert verify_mod._scan_chunk(AXLER, empty, empty, AXLER.x0) == []
