@@ -83,6 +83,14 @@ class GapTheorem:
         log_pow = partial(_log_pow, self.x0, self.e)
         return k > 1 and _decide(log_pow, lambda v: v <= self.c / (k - 1))
 
+    def gap_floor(self, xa: int, xb: int) -> int:
+        """An integer at most c*x/log^e x for every real x in [xa, xb], xa >= 2,
+        with no float: log x < u = ceil(7*bits(xb)/10), since ln 2 < 7/10."""
+        u, top = -(-7 * xb.bit_length() // 10), self.c.numerator * xa
+        if self.e * (u.bit_length() - 1) >= top.bit_length():  # u^e > top: no power
+            return 0
+        return top // (self.c.denominator * u**self.e)
+
     def threshold_exceeds(self, x: int, q: int) -> bool:
         """Whether x(1 + c/log^e x) >= q, i.e. q <= x or log^e(x) <= c*x/(q - x)."""
         log_pow = partial(_log_pow, x, self.e)

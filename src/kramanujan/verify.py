@@ -1,14 +1,15 @@
 """Empirical verification of short-interval prime theorems over prime ranges.
 
-The threshold x(1 + c/log^e x) has slope 1 + c(log x - e)/log^(e+1) x >= 1
-where log x >= e, so from any lo >= 3^e (every built-in x0) one check per gap
-(p, q), at x = p or at x = lo inside it, covers every real x in the scanned
-range; below e^e the threshold can dip inside a gap and hide a violation.  A
-float64 prescreen and its guard leave only the doubtful gaps to exact checks.
+A scan slice whose largest gap is at most GapTheorem.gap_floor on it is
+certified with no float for every real x in it.  Other slices go to a float64
+prescreen whose guard leaves the doubtful gaps to exact checks; one check per
+gap (p, q), at x = p or at x = lo inside it, covers every real x where
+log x >= e, as x(1 + c/log^e x) has slope 1 + c(log x - e)/log^(e+1) x >= 1.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -46,18 +47,28 @@ class VerificationReport:
         return not self.violations
 
 
-def _scan_chunk(
-    thm: GapTheorem, p: np.ndarray, q: np.ndarray, lo: int
-) -> list[tuple[int, int, float]]:
-    """Violating pairs within one slice of the gap arrays."""
+def _scan_chunk(thm: GapTheorem, p: np.ndarray, q: np.ndarray, lo: int) -> list:
+    """Violating pairs within one slice: none, with no float, within its gap_floor."""
+    floor = thm.gap_floor(max(int(p[0]), lo), max(int(q[-1]), lo)) if len(p) else 0
+    if np.subtract(q, p, dtype=np.int32).max(initial=0) <= floor:  # p, q < 2^31
+        return []
+    return _prescreen(thm, p, q, lo)
+
+
+def _prescreen(thm: GapTheorem, p: np.ndarray, q: np.ndarray, lo: int) -> list:
+    """Violating pairs of a slice: the float prescreen, then exact rechecks."""
     x = np.maximum(p, lo).astype(np.float64)
     c = float(thm.c) if thm.c <= sys.float_info.max else np.inf
+    e = min(thm.e, sys.float_info.max)
     with np.errstate(over="ignore", invalid="ignore"):
-        log_pow = np.log(x) ** min(thm.e, sys.float_info.max)  # inf past e = 7547
+        log_pow = np.log(x) ** e  # inf past e = 7547
         thr = x * (1.0 + c / log_pow)
         margin = (thr - q) / thr
-        if len(p) and not np.isfinite(log_pow[-1] + thr[-1]):  # both rise with x
+        if not np.isfinite(log_pow[-1] + thr[-1]):  # both rise with x
             margin[~np.isfinite(log_pow + thr)] = 0.0  # inside the guard: exact
+            bad = np.isnan(thr)  # c/log^e x = inf/inf: exp(ln c - e ln ln x) instead
+            ln_ratio = math.log(int(thm.c)) - e * np.log(np.log(x[bad]))
+            thr[bad] = x[bad] * (1.0 + np.exp(ln_ratio))
     out = []
     for j in np.flatnonzero(margin < PRESCREEN_GUARD).tolist():
         xi, qi = max(int(p[j]), lo), int(q[j])
@@ -84,8 +95,8 @@ def verify_theorem(
     """Check the pi(hi) - pi(lo) pairs of consecutive primes (p, q) with
     lo < q <= hi; ``jobs`` threads sieve and scan one segment each.
 
-    Zero violations certifies the statement empirically for all real x from
-    lo up to the start of the last checked pair, when log lo >= e (lo >= 3^e).
+    Zero violations certifies the statement empirically for all real x from lo
+    to the last pair's start, when log lo >= e or each slice met its gap_floor.
     """
     if lo < max(thm.x0, 3):
         raise DomainError(

@@ -170,6 +170,37 @@ def test_huge_exponent_decisions(e):
     assert time.perf_counter() - start < 0.5
 
 
+# c from 1e-12 to 10^400, as exact Fractions
+gap_c = st.builds(
+    lambda m, t: Fraction(m) * Fraction(10) ** t,
+    st.integers(1, 10**6),
+    st.integers(-18, 394),
+).filter(lambda c: Fraction(1, 10**12) <= c <= 10**400)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    gap_c,
+    st.integers(1, 8),
+    st.lists(st.integers(2, 2 * 10**9), min_size=2, max_size=2),
+)
+def test_gap_floor_below_the_allowance(c, e, ends):
+    # gap_floor(xa, xb) <= c*x/log^e x on [xa, xb], and it gives away no more
+    # than log x < u <= 1.01 log xb + 1.7 costs
+    xa, xb = sorted(ends)
+    floor = GapTheorem("custom", 2, c, e).gap_floor(xa, xb)
+    with mpmath.workdps(REF_DPS):
+        for x in (xa, xb):
+            assert 0 <= floor <= _mpf(c) * x / mpmath.log(x) ** e
+        assert floor >= _mpf(c) * xa / (1.01 * mpmath.log(xb) + 1.7) ** e - 1
+
+
+def test_gap_floor_builds_no_huge_power():
+    # u^e with e = 10^400 could never be built; the bit lengths decide first
+    thm = GapTheorem("custom", 3, Fraction(10**400), 10**400)
+    assert thm.gap_floor(3, 10**6) == 0
+
+
 def test_one_float_guard_literal():
     src = Path(kramanujan.__file__).parent
     literals = [

@@ -19,6 +19,7 @@ from kramanujan import (
     GapTheorem,
     RangeError,
     ResourceLimitError,
+    TRUDGIAN,
     sieve_upto,
     verify_theorem,
 )
@@ -239,3 +240,67 @@ def test_streaming_memory_is_per_segment():
 def test_scan_chunk_accepts_zero_pairs():
     empty = np.empty(0, dtype=np.int64)
     assert verify_mod._scan_chunk(AXLER, empty, empty, AXLER.x0) == []
+
+
+def test_primes_fit_the_int32_gap_difference():
+    # _scan_chunk takes q - p in int32, which needs every prime below 2^31
+    assert primes_mod.DEFAULT_SIEVE_BUDGET < 2**31
+
+
+def _float_path_only(monkeypatch):
+    # a floor below every gap sends each slice to the float prescreen
+    monkeypatch.setattr(GapTheorem, "gap_floor", lambda self, xa, xb: -1)
+
+
+def _reports(cases, jobs):
+    return [
+        (r.violations, r.pairs_checked)
+        for r in (verify_theorem(thm, lo, hi, jobs=jobs) for thm, lo, hi in cases)
+    ]
+
+
+def test_floor_matches_float_path_on_builtins(monkeypatch):
+    cases = [(thm, thm.x0, 10**7) for thm in BUILTIN_THEOREMS.values()]
+    want = {jobs: _reports(cases, jobs) for jobs in (1, 2, 3)}
+    _float_path_only(monkeypatch)
+    for jobs in (1, 2, 3):
+        assert _reports(cases, jobs) == want[jobs]
+
+
+# the shapes of perfbench's param-search candidates, with a small hi, and one
+# whose threshold falls up to e^8 ~ 2981, where a floor from a slice's first q
+# instead of its last would pass violations
+PARAM_SHAPES = [
+    (GapTheorem("custom", 58837, Fraction("0.049"), 3), 58837, 3 * 10**5),
+    (GapTheorem("custom", 2, Fraction("0.009"), 2), 3, 3 * 10**5),
+    (GapTheorem("custom", 2, Fraction("1.19"), 3), 3, 3 * 10**5),
+    (GapTheorem("custom", 2, Fraction(10**5), 8), 3, 3 * 10**5),
+]
+
+
+@pytest.mark.parametrize("scan_pairs", [verify_mod._SCAN_PAIRS, 1000, 7])
+def test_floor_matches_float_path_on_param_shapes(scan_pairs, monkeypatch):
+    monkeypatch.setattr(verify_mod, "_SCAN_PAIRS", scan_pairs)
+    want = _reports(PARAM_SHAPES, 1)
+    assert all(violations for violations, _ in want)
+    _float_path_only(monkeypatch)
+    assert _reports(PARAM_SHAPES, 1) == want
+
+
+@pytest.mark.parametrize("thm,slices", [(AXLER, 1), (DUSART, 1), (TRUDGIAN, 2)])
+def test_slices_reaching_the_float_path(thm, slices, monkeypatch):
+    # of the 13-18 scan_chunk calls to 10^7, the exact floor passes all but
+    # these; a weaker floor sends more slices to the prescreen
+    prescreen = mock.Mock(wraps=verify_mod._prescreen)
+    monkeypatch.setattr(verify_mod, "_prescreen", prescreen)
+    assert verify_theorem(thm, thm.x0, 10**7).ok
+    assert prescreen.call_count == slices
+
+
+def test_threshold_past_the_float_range_is_finite():
+    # c and log^e x both overflow a float: the threshold is taken in log
+    # space, where x(1 + exp(ln c - e ln ln x)) rounds to x, not inf/inf = nan
+    thm = GapTheorem("custom", 3, Fraction(10**400), 10**400)
+    report = verify_theorem(thm, 3, 100)
+    assert report.violations
+    assert all(thr == p for p, _, thr in report.violations)
