@@ -49,8 +49,10 @@ class VerificationReport:
 
 def _scan_chunk(thm: GapTheorem, p: np.ndarray, q: np.ndarray, lo: int) -> list:
     """Violating pairs within one slice: none, with no float, within its gap_floor."""
-    floor = thm.gap_floor(max(int(p[0]), lo), max(int(q[-1]), lo)) if len(p) else 0
-    if np.subtract(q, p, dtype=np.int32).max(initial=0) <= floor:  # p, q < 2^31
+    if not len(p):
+        return []
+    floor = thm.gap_floor(max(int(p[0]), lo), max(int(q[-1]), lo))
+    if np.subtract(q, p, dtype=np.int32).max() <= floor:  # p, q < 2^31
         return []
     return _prescreen(thm, p, q, lo)
 
@@ -67,8 +69,8 @@ def _prescreen(thm: GapTheorem, p: np.ndarray, q: np.ndarray, lo: int) -> list:
         if not np.isfinite(log_pow[-1] + thr[-1]):  # both rise with x
             margin[~np.isfinite(log_pow + thr)] = 0.0  # inside the guard: exact
             bad = np.isnan(thr)  # c/log^e x = inf/inf: exp(ln c - e ln ln x) instead
-            ln_ratio = math.log(int(thm.c)) - e * np.log(np.log(x[bad]))
-            thr[bad] = x[bad] * (1.0 + np.exp(ln_ratio))
+            ln_c = math.log(thm.c.numerator) - math.log(thm.c.denominator)  # c > 0
+            thr[bad] = x[bad] * (1.0 + np.exp(ln_c - e * np.log(np.log(x[bad]))))
     out = []
     for j in np.flatnonzero(margin < PRESCREEN_GUARD).tolist():
         xi, qi = max(int(p[j]), lo), int(q[j])

@@ -518,6 +518,17 @@ def test_verify_exponent_past_float_range(capsys):
     assert len(rec["violations"]) == rec["pairs_checked"] == 166
 
 
+def test_verify_c_below_one_exponent_past_float_range(capsys):
+    # as above with c < 1: log^e x overflows a float while c does not
+    code, out, err = run(
+        capsys, "verify", "--theorem", "custom", "--x0", "3", "--c", "0.5",
+        "--e", "1000", "--from", "3", "--to", "1000",
+    )
+    assert (code, err) == (3, "")
+    rec = json.loads(out)
+    assert len(rec["violations"]) == rec["pairs_checked"] == 166
+
+
 VIOLATING_VERIFY = [
     "verify", "--theorem", "custom", "--x0", "58837", "--c", "0.05",
     "--e", "3", "--from", "58837", "--to", "1000000",

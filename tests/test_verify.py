@@ -297,6 +297,14 @@ def test_slices_reaching_the_float_path(thm, slices, monkeypatch):
     assert prescreen.call_count == slices
 
 
+def test_c_below_one_past_the_float_range():
+    # log^e x overflows but c < 1 does not: no inf/inf, every gap is exact
+    thm = GapTheorem("custom", 3, Fraction(1, 2), 10**4)
+    report = verify_theorem(thm, 3, 1000)
+    primes = sieve_upto(1000).primes[1:].tolist()
+    assert report.violations == [(p, q, float(p)) for p, q in zip(primes, primes[1:])]
+
+
 def test_threshold_past_the_float_range_is_finite():
     # c and log^e x both overflow a float: the threshold is taken in log
     # space, where x(1 + exp(ln c - e ln ln x)) rounds to x, not inf/inf = nan
