@@ -12,7 +12,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 
 from . import core
 from .errors import KRamanujanError
@@ -23,9 +23,13 @@ from .verify import verify_theorem
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATIONS = 3
-# stdout takes one write per this many chunks, not one per JSON token.
+# stdout takes one write per this many chunks, not one per chunk; a chunk is
+# a verify violation row, a CSV row or a JSON encoder token.
 # Semantically invisible: stdout is identical for any positive value (tested).
 _WRITE_BATCH = 4096
+# One verify violation, after its separator; json writes a finite float as
+# float.__repr__, which is also its str.
+_ROW = '%s{\n      "p": %d,\n      "next_p": %d,\n      "threshold": %s\n    }'
 
 
 class _Parser(argparse.ArgumentParser):
@@ -158,20 +162,24 @@ def cmd_verify(args) -> int:
     if args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
     report = verify_theorem(thm, args.frm, args.to, jobs=args.jobs)
-    _emit(
-        {
-            "schema": "verify",
-            "theorem": _theorem_record(thm),
-            "from": report.lo,
-            "to": report.hi,
-            "pairs_checked": report.pairs_checked,
-            "violations": [
-                {"p": p, "next_p": q, "threshold": thr}
-                for p, q, thr in report.violations
-            ],
-            "elapsed_seconds": round(report.elapsed, 3),
-        }
+    record = {
+        "schema": "verify",
+        "theorem": _theorem_record(thm),
+        "from": report.lo,
+        "to": report.hi,
+        "pairs_checked": report.pairs_checked,
+        "violations": [],
+        "elapsed_seconds": round(report.elapsed, 3),
+    }
+    # the record's one list; its rows are filled in as indent=2 would write them
+    head, _, tail = json.JSONEncoder(indent=2).encode(record).partition("[]")
+    seps = chain(["[\n    "], repeat(",\n    "))
+    rows = (
+        _ROW % (sep, p, q, thr if math.isfinite(thr) else json.dumps(thr))
+        for sep, (p, q, thr) in zip(seps, report.violations)
     )
+    end = "\n  ]" if report.violations else "[]"
+    _write(chain([head], rows, [end, tail, "\n"]))
     return EXIT_OK if report.ok else EXIT_VIOLATIONS
 
 

@@ -71,12 +71,10 @@ def _prescreen(thm: GapTheorem, p: np.ndarray, q: np.ndarray, lo: int) -> list:
             bad = np.isnan(thr)  # c/log^e x = inf/inf: exp(ln c - e ln ln x) instead
             ln_c = math.log(thm.c.numerator) - math.log(thm.c.denominator)  # c > 0
             thr[bad] = x[bad] * (1.0 + np.exp(ln_c - e * np.log(np.log(x[bad]))))
-    out = []
-    for j in np.flatnonzero(margin < PRESCREEN_GUARD).tolist():
-        xi, qi = max(int(p[j]), lo), int(q[j])
-        if margin[j] <= -PRESCREEN_GUARD or not thm.threshold_exceeds(xi, qi):
-            out.append((int(p[j]), qi, float(thr[j])))
-    return out
+    fails = margin <= -PRESCREEN_GUARD
+    for j in np.flatnonzero((margin < PRESCREEN_GUARD) & ~fails).tolist():
+        fails[j] = not thm.threshold_exceeds(max(int(p[j]), lo), int(q[j]))
+    return list(zip(p[fails].tolist(), q[fails].tolist(), thr[fails].tolist()))
 
 
 def _scan_segment(thm: GapTheorem, segment, lo: int) -> tuple:

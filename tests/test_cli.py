@@ -10,11 +10,15 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from kramanujan import breakpoints, cli, core
+from kramanujan import GapTheorem, breakpoints, cli, core
 from kramanujan.cli import main
+from kramanujan.verify import VerificationReport
 
 
 def run(capsys, *argv):
@@ -547,14 +551,93 @@ class CountingStdout(io.StringIO):
         return super().write(s)
 
 
+def old_verify_record(report):
+    """The verify record as one dict: written whole by JSONEncoder(indent=2),
+    the reference for the CLI's template rows."""
+    return {
+        "schema": "verify",
+        "theorem": cli._theorem_record(report.theorem),
+        "from": report.lo,
+        "to": report.hi,
+        "pairs_checked": report.pairs_checked,
+        "violations": [
+            {"p": p, "next_p": q, "threshold": thr}
+            for p, q, thr in report.violations
+        ],
+        "elapsed_seconds": round(report.elapsed, 3),
+    }
+
+
+THRESHOLDS = st.floats(allow_nan=False) | st.sampled_from(
+    [5e-324, 1e-7, 1e16, 1e22, 0.1, math.inf]
+)
+VIOLATION = st.tuples(st.integers(2, 2**31), st.integers(2, 2**31), THRESHOLDS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    violations=st.one_of(
+        st.just([]), st.lists(VIOLATION, min_size=1, max_size=1), st.lists(VIOLATION)
+    ),
+    pairs=st.integers(0, 2**31),
+    elapsed=st.floats(0, 1e5),
+)
+@example(violations=[(2**31 - 1, 2**31, 1e22)] * 9000, pairs=9000, elapsed=0.0)
+def test_verify_rows_match_the_json_encoder(violations, pairs, elapsed):
+    # the hand-written rows and separators are byte for byte what
+    # JSONEncoder(indent=2) writes, across batch seams too
+    thm = GapTheorem("custom", 58837, Fraction("0.05"), 3)
+    report = VerificationReport(thm, 58837, 10**6, pairs, violations, elapsed)
+    out = io.StringIO()
+    with mock.patch.object(cli, "verify_theorem", lambda *a, **kw: report):
+        with contextlib.redirect_stdout(out):
+            assert main(VIOLATING_VERIFY) == (3 if violations else 0)
+    want = json.JSONEncoder(indent=2).encode(old_verify_record(report)) + "\n"
+    assert mask_elapsed(out.getvalue()) == mask_elapsed(want)
+
+
+VERIFY_884 = """\
+{
+  "schema": "verify",
+  "theorem": {
+    "name": "custom",
+    "x0": 3,
+    "c": "221/250",
+    "e": 3
+  },
+  "from": 3,
+  "to": 10,
+  "pairs_checked": 2,
+  "violations": [
+    {
+      "p": 5,
+      "next_p": 7,
+      "threshold": 6.060228774787496
+    }
+  ],
+  "elapsed_seconds": 0
+}
+"""
+
+
+def test_verify_output_bytes(capsys):
+    # the full stdout of a violating verify; its threshold, 5(1 + 0.884/ln^3 5)
+    # in float64, is the one libm-dependent value pinned here
+    code, out, err = run(
+        capsys, "verify", "--theorem", "custom", "--x0", "3", "--c", "0.884",
+        "--e", "3", "--from", "3", "--to", "10",
+    )
+    assert (code, mask_elapsed(out), err) == (3, VERIFY_884, "")
+
+
 @pytest.mark.parametrize(
     "argv,exit_code,max_writes",
-    [(VIOLATING_VERIFY, 3, 999), (["table"], 0, 1)],
+    [(VIOLATING_VERIFY, 3, 9), (["table"], 0, 1)],
     ids=["verify", "table"],
 )
 def test_stdout_writes_are_batched(monkeypatch, argv, exit_code, max_writes):
-    # 36,275 violations are 580,451 JSON tokens, and the CSV table was two
-    # prints per row; each write is a syscall when stdout is unbuffered
+    # 36,275 violations make 36,279 chunks, one per row, and the CSV table
+    # was two prints per row; each write is a syscall when stdout is unbuffered
     default = cli._WRITE_BATCH
     runs = {}
     for batch in (1, 7, default):

@@ -107,20 +107,50 @@ def test_determinism_and_jobs_merge(monkeypatch):
             assert got.pairs_checked == want.pairs_checked
 
 
-def test_float_margin_matches_full_recheck():
-    # every gap decided at 50 digits gives the same violations as the float
-    # prescreen, which rechecks only thin margins
-    lo, hi = 58837, 150_000
+RECHECK_RANGE = (58837, 150_000)
+RECHECKED = (CUSTOM_WEAK, GapTheorem("custom", 58837, Fraction("0.5"), 3))
+
+
+@pytest.fixture(scope="module")
+def full_recheck():
+    """Per theorem of RECHECKED, the violating gaps (p, q) of RECHECK_RANGE,
+    each decided at 50 digits."""
+    lo, hi = RECHECK_RANGE
     p, q = sieve_upto(hi).gap_arrays(lo, hi)
-    for thm in (CUSTOM_WEAK, GapTheorem("custom", 58837, Fraction("0.5"), 3)):
-        want = [
+    return {
+        thm: [
             (int(a), int(b))
             for a, b in zip(p, q)
             if not thm.threshold_exceeds(max(int(a), lo), int(b))
         ]
-        got = verify_theorem(thm, lo, hi).violations
+        for thm in RECHECKED
+    }
+
+
+def test_float_margin_matches_full_recheck(full_recheck):
+    # every gap decided at 50 digits gives the same violations as the float
+    # prescreen, which rechecks only thin margins
+    for thm, want in full_recheck.items():
+        got = verify_theorem(thm, *RECHECK_RANGE).violations
         assert [(a, b) for a, b, _ in got] == want
         assert want
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("guard", [1.0, 1e-3])
+def test_exact_band_width_changes_no_violation(monkeypatch, full_recheck, guard, jobs):
+    # guard 1.0 sends every gap to the exact check, 1e-3 a wide band; small
+    # segments put seam pairs in the range.  The items stay plain Python
+    # numbers, which the CLI's row template needs
+    for thm, want in full_recheck.items():
+        default = verify_theorem(thm, *RECHECK_RANGE).violations
+        with monkeypatch.context() as m:
+            m.setattr(verify_mod, "PRESCREEN_GUARD", guard)
+            m.setattr(primes_mod, "_SEGMENT_ODDS", 5000)
+            got = verify_theorem(thm, *RECHECK_RANGE, jobs=jobs).violations
+        assert got == default
+        assert [(a, b) for a, b, _ in got] == want
+        assert {tuple(map(type, v)) for v in got} == {(int, int, float)}
 
 
 def test_weaker_theorem_never_worse():
