@@ -423,6 +423,14 @@ def test_verify_jobs_flag(capsys):
     assert a["violations"] == b["violations"]
 
 
+def test_verify_jobs_below_one_exit(capsys):
+    code, out, err = run(capsys, "verify", "--theorem", "axler", "--from", "58837",
+                         "--to", "60000", "--jobs", "0")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_verify_custom_missing_params_exit(capsys):
     code, _, _ = run(
         capsys, "verify", "--theorem", "custom", "--from", "100", "--to", "1000"

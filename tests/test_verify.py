@@ -272,14 +272,27 @@ def test_scan_chunk_accepts_zero_pairs():
     assert verify_mod._scan_chunk(AXLER, empty, empty, AXLER.x0) == []
 
 
-def test_primes_fit_the_int32_gap_difference():
-    # _scan_chunk takes q - p in int32, which needs every prime below 2^31
-    assert primes_mod.DEFAULT_SIEVE_BUDGET < 2**31
-
-
 def _float_path_only(monkeypatch):
     # a floor below every gap sends each slice to the float prescreen
     monkeypatch.setattr(GapTheorem, "gap_floor", lambda self, xa, xb: -1)
+
+
+def test_int64_gate_above_two_to_the_31(monkeypatch):
+    # synthetic pairs past 2^31 with gaps 2..292; the allowance c*x/log^2 x is
+    # about 155 there and the floor 135, so the gate passes the slice of gaps
+    # up to 100 and sends the whole one to the prescreen
+    thm = GapTheorem("custom", 2, Fraction(1, 30000), 2)
+    gaps = np.random.default_rng(0).permutation(np.arange(2, 294, 2))
+    q = 2**31 + 1 + np.cumsum(gaps)
+    p = q - gaps
+    lo = int(p[0])
+    assert 100 < thm.gap_floor(lo, int(q[-1])) < gaps.max()
+    slices = [(p, q), (p[gaps <= 100], q[gaps <= 100])]
+    want = [verify_mod._prescreen(thm, a, b, lo) for a, b in slices]
+    assert want[0] and not want[1]
+    assert [verify_mod._scan_chunk(thm, a, b, lo) for a, b in slices] == want
+    _float_path_only(monkeypatch)
+    assert [verify_mod._scan_chunk(thm, a, b, lo) for a, b in slices] == want
 
 
 def _reports(cases, jobs):
@@ -342,3 +355,25 @@ def test_threshold_past_the_float_range_is_finite():
     report = verify_theorem(thm, 3, 100)
     assert report.violations
     assert all(thr == p for p, _, thr in report.violations)
+
+
+def test_threshold_overflowing_below_e_to_the_e_is_exact(monkeypatch):
+    # below e^e the threshold falls with x: inf at x = 3, finite by 997, so
+    # the gap 3 -> 5 has a non-finite margin and must be decided exactly
+    thm = GapTheorem("custom", 3, Fraction(17 * 10**307), 10)
+    p, q = sieve_upto(1000).gap_arrays(3, 1000)
+    exact = [
+        (int(a), int(b))
+        for a, b in zip(p, q)
+        if not thm.threshold_exceeds(int(a), int(b))
+    ]
+    decided = []
+    real = GapTheorem.threshold_exceeds
+    monkeypatch.setattr(
+        GapTheorem,
+        "threshold_exceeds",
+        lambda self, x, b: decided.append((x, b)) or real(self, x, b),
+    )
+    got = verify_mod._prescreen(thm, p, q, 3)
+    assert (3, 5) in decided
+    assert [(a, b) for a, b, _ in got] == exact == []
