@@ -3,14 +3,16 @@ characterization path, explicit upper bounds, and the breakpoint table."""
 
 from __future__ import annotations
 
+import math
+import os
 import re
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from itertools import count, islice
 
 from .errors import DomainError, InconclusiveError, RangeError, UnsupportedRangeError
+from .errors import ResourceLimitError
 from .primes import PrimeStore, sieve_upto
 from .theorems import BUILTIN_THEOREMS, GapTheorem
 
@@ -48,8 +50,8 @@ class BreakpointEntry:
 
 @dataclass(frozen=True)
 class Answer:
-    """R_1^(k) = p_index, read below the certified bound that was searched,
-    and whether k is exactly some gap ratio p_n/p_{n-1}."""
+    """R_1^(k) = p_index, read from the record table below the certified
+    bound, and whether k is exactly some gap ratio p_n/p_{n-1}."""
 
     prime: int
     index: int
@@ -100,16 +102,24 @@ def certified_bound(k: Fraction) -> int:
 def first_k_ramanujan(k: Fraction) -> Answer:
     """R_1^(k) as an Answer(prime, index, bound, k_equals_gap_ratio).
 
-    The prime is p_m for m = max{n >= 2 | p_n/p_{n-1} > k}, the last row of
-    the record table above k, or 2 when no gap ratio exceeds k.  Past the
-    certified bound no ratio exceeds k, so only the shared store up to it is
-    searched; it decides the flag too, as p_a/p_{a-1} = k puts p_a below it.
+    The prime is p_m for m = max{n >= 2 | p_n/p_{n-1} > k}, or 2 when no gap
+    ratio exceeds k.  Past the certified bound no ratio exceeds k, so p_m is
+    the last row above k of records.csv, the right-to-left record table up to
+    its horizon; every k whose bound is within the horizon exceeds its floor.
     """
     bound = certified_bound(k)
-    store = shared_store(bound)
-    rows = breakpoints(k, store.prime_count(bound), store)
-    prime, index = (rows[-1].prime, rows[-1].index) if rows else (2, 1)
-    return Answer(prime, index, bound, k_equals_gap_ratio(k, store))
+    horizon, rows = _records()
+    if bound > horizon:
+        raise ResourceLimitError(f"certified bound {bound} exceeds budget {horizon}")
+    above = [(p, a) for a, p, q in rows if p * k.denominator > k.numerator * q]
+    prime, index = above[-1] if above else (2, 1)
+    return Answer(prime, index, bound, k_equals_gap_ratio(k, bound))
+
+
+def _records() -> tuple[int, list[tuple[int, ...]]]:
+    """The horizon and rows (a, p_a, p_{a-1}) of records.csv (scripts/records.py)."""
+    with open(os.path.join(os.path.dirname(__file__), "records.csv")) as f:
+        return int(f.readline().split()[-1]), [tuple(map(int, r.split(","))) for r in f]
 
 
 def brute_force_R(k: Fraction, n: int, scan_limit: int) -> int:
@@ -127,6 +137,7 @@ def brute_force_R(k: Fraction, n: int, scan_limit: int) -> int:
         raise DomainError(f"threshold k must exceed 1, got {k}")
     if scan_limit < 4:
         raise RangeError(f"scan limit {scan_limit} too small")
+    import numpy as np
     store = shared_store(scan_limit)
     primes = store.primes
     num, den = k.numerator, k.denominator
@@ -171,6 +182,7 @@ def breakpoints(
     """
     if not 2 <= index_limit <= store.count:
         raise RangeError(f"index limit {index_limit} outside 2..{store.count}")
+    import numpy as np
     primes = store.primes[:index_limit]
     ratios = np.divide(primes[1:], primes[:-1])
     # every gap ratio is below 2 (Bertrand), and a huge k_min overflows a float
@@ -189,13 +201,19 @@ def breakpoints(
     return out
 
 
-def k_equals_gap_ratio(k: Fraction, store: PrimeStore) -> bool:
-    """True when k is exactly some gap ratio p_n/p_{n-1} in the store.
+def k_equals_gap_ratio(k: Fraction, bound: int) -> bool:
+    """True when k is exactly some gap ratio p_n/p_{n-1} with p_n <= bound.
 
     Any gap ratio counts, though only a record row of breakpoints closes a
     breakpoint interval (3/2 counts; R_1 = 11 on both sides of it).  Consecutive
-    primes are coprime, so this holds iff k's lowest terms are p_n over p_{n-1}.
+    primes are coprime, so this holds iff k's lowest terms are p_n over p_{n-1}:
+    the denominator and the numerator are the first two primes from it.
     """
-    primes = store.primes
-    j = int(np.searchsorted(primes, k.denominator))
-    return primes[j : j + 2].tolist() == [k.denominator, k.numerator]
+    num, den = k.numerator, k.denominator
+    return num <= bound and list(islice(filter(_is_prime, count(den)), 2)) == [den, num]
+
+
+def _is_prime(n: int) -> bool:
+    """Trial division by odd d <= sqrt(n): at most 22,400 below the sieve budget."""
+    odd = range(3, math.isqrt(n) + 1, 2)
+    return n == 2 or n % 2 == 1 and n > 1 and all(n % d for d in odd)

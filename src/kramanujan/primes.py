@@ -6,8 +6,6 @@ import math
 from fractions import Fraction
 from functools import partial
 
-import numpy as np
-
 from .errors import DomainError, RangeError, ResourceLimitError
 
 # Hard cap on sieve limits; keeps the prime table well under a few GiB.
@@ -42,7 +40,7 @@ class PrimeStore:
         fx = int(x)
         if fx > self.limit:
             raise DomainError(f"pi({x}) needs a sieve past {self.limit}")
-        return int(np.searchsorted(self.primes, fx, side="right"))
+        return int(self.primes.searchsorted(fx, side="right"))
 
     def nth_prime(self, n: int) -> int:
         if not 1 <= n <= self.count:
@@ -59,9 +57,9 @@ class PrimeStore:
             raise RangeError(f"bad gap range [{lo}, {hi}] for limit {self.limit}")
         # 0-based index of the first pair: the prime starting the gap that
         # covers lo (straddling pair included); lo >= 2 = p_1 keeps it >= 0.
-        lo_idx = int(np.searchsorted(self.primes, lo, side="right")) - 1
+        lo_idx = int(self.primes.searchsorted(lo, side="right")) - 1
         # pairs run while p_j <= hi and p_{j+1} is in the store
-        hi_idx = int(np.searchsorted(self.primes, hi, side="right"))
+        hi_idx = int(self.primes.searchsorted(hi, side="right"))
         hi_idx = min(hi_idx, self.count - 1)
         return self.primes[lo_idx:hi_idx], self.primes[lo_idx + 1 : hi_idx + 1]
 
@@ -76,7 +74,8 @@ def sieve_upto(limit: int) -> PrimeStore:
 
 def segments(limit: int) -> list[partial]:
     """One zero-argument sieve per segment of [3, limit], in order, each
-    returning its primes; the only range and budget check of a sieve."""
+    returning its primes and taking its segment's low end as first argument;
+    the only range and budget check of a sieve."""
     if limit < 0:
         raise RangeError("sieve limit must be non-negative")
     if limit > DEFAULT_SIEVE_BUDGET:
@@ -95,6 +94,7 @@ def segments(limit: int) -> list[partial]:
 
 def _segment(low: int, high: int, odd_base: np.ndarray) -> np.ndarray:
     """Primes in [low, high) for odd low, struck by the odd base primes."""
+    import numpy as np
     mask = np.ones((high - low + 1) // 2, dtype=bool)
     start = np.maximum(odd_base * odd_base, -(-low // odd_base) * odd_base)
     start += odd_base * (start % 2 == 0)  # first odd multiple
@@ -108,6 +108,7 @@ def _segment(low: int, high: int, odd_base: np.ndarray) -> np.ndarray:
 
 def _sieve(limit: int) -> np.ndarray:
     """Primes <= limit, odd-only and segmented; base primes from _sieve(isqrt)."""
+    import numpy as np
     parts = segments(limit)
     if limit < 2:
         return np.empty(0, dtype=np.int64)

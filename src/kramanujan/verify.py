@@ -12,10 +12,8 @@ from __future__ import annotations
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from bisect import bisect_right
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import DomainError, RangeError
 from .primes import segments
@@ -56,6 +54,7 @@ def _scan_chunk(thm: GapTheorem, p: np.ndarray, q: np.ndarray, lo: int) -> list:
 
 def _prescreen(thm: GapTheorem, p: np.ndarray, q: np.ndarray, lo: int) -> list:
     """Violating pairs of a slice: the float prescreen, then exact rechecks."""
+    import numpy as np
     x = np.maximum(p, lo).astype(np.float64)
     c = float(thm.c) if thm.c <= sys.float_info.max else np.inf
     e = min(thm.e, sys.float_info.max)
@@ -77,7 +76,7 @@ def _scan_segment(thm: GapTheorem, segment, lo: int) -> tuple:
     """Sieve one segment and scan its pairs (p, q) with q > lo in slices: its
     first and last primes (lists, empty without a prime), pairs, violations."""
     primes = segment()
-    a = int(np.searchsorted(primes[1:], lo, side="right"))
+    a = int(primes[1:].searchsorted(lo, side="right"))
     p, q, step = primes[a:-1], primes[a + 1 :], _SCAN_PAIRS
     found = []
     for s in range(0, len(p), step):
@@ -94,6 +93,9 @@ def verify_theorem(
     Zero violations certifies the statement empirically for all real x from lo
     to the last pair's start, when log lo >= e or each slice met its gap_floor.
     """
+    from concurrent.futures import ThreadPoolExecutor
+    import numpy as np
+
     if lo < max(thm.x0, 3):
         raise DomainError(
             f"scan start {lo} is below the theorem's validity threshold {thm.x0}"
@@ -101,9 +103,13 @@ def verify_theorem(
     if lo > hi:
         raise RangeError(f"empty verification range [{lo}, {hi}]")
     start = time.perf_counter()
-    pairs, violations, last = 0, [], []
+    parts = segments(hi)
+    # from the segment holding lo, after the last prime below it (for the seam)
+    t = bisect_right(parts, lo, key=lambda seg: seg.args[0]) - 1
+    last = next(filter(None, (s()[-1:].tolist() for s in reversed(parts[:t]))), [])
+    pairs, violations = 0, []
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        scans = pool.map(lambda seg: _scan_segment(thm, seg, lo), segments(hi))
+        scans = pool.map(lambda seg: _scan_segment(thm, seg, lo), parts[t:])
         for first, end, count, found in scans:
             if last and first and first[0] > lo:  # the seam pair, in order
                 violations += _scan_chunk(thm, np.array(last), np.array(first), lo)

@@ -88,6 +88,14 @@ def test_compute_trudgian_x0(capsys):
     assert rec["certified_bound"] == 2898360
 
 
+def test_compute_past_the_old_sieve_memory(capsys):
+    # Trudgian's bound 1.65e9 needed a 1.36 GB sieve; the record table answers
+    code, rec = run_json(capsys, "compute", "--k", "1.00002")
+    assert code == 0
+    assert (rec["prime"], rec["index"]) == (7230479, 491238)
+    assert rec["certified_bound"] == 1649664876
+
+
 @pytest.mark.parametrize(
     "k,exit_code,cause",
     [
@@ -763,6 +771,25 @@ def test_cli_imports_no_mpmath():
     proc = run_fresh(sys.executable, "-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_cli_starts_without_numpy():
+    # compute reads records.csv and bound is exact decimal arithmetic; numpy
+    # and the thread pool load with the first sieve
+    code = "\n".join([
+        "import sys",
+        "from kramanujan.cli import main",
+        "heavy = ['numpy', 'concurrent.futures']",
+        "assert main(['compute', '--k', '1.0008968291']) == 0",
+        "assert main(['bound', '--k', '1.0001', '--theorem', 'dusart']) == 0",
+        "print([m for m in heavy if m in sys.modules], file=sys.stderr)",
+        "assert main(['verify', '--theorem', 'axler', '--from', '58837',"
+        " '--to', '60000']) == 0",
+        "print([m for m in heavy if m in sys.modules], file=sys.stderr)",
+    ])
+    proc = run_fresh(sys.executable, "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[]\n['numpy', 'concurrent.futures']\n"
 
 
 @pytest.mark.parametrize(

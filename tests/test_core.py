@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -20,10 +24,17 @@ from kramanujan import (
     brute_force_R,
     certified_bound,
     cor_bound,
+    core,
     first_k_ramanujan,
     parse_rational,
+    sieve_upto,
 )
-from kramanujan.core import k_equals_gap_ratio
+from kramanujan.core import k_equals_gap_ratio, shared_store
+from kramanujan.primes import DEFAULT_SIEVE_BUDGET
+
+REPO = Path(__file__).resolve().parents[1]
+RECORDS = Path(core.__file__).with_name("records.csv")
+PAPER_K = Fraction("1.0008968291")
 
 
 def reference_breakpoints(k_min, index_limit, store):
@@ -38,6 +49,22 @@ def reference_breakpoints(k_min, index_limit, store):
             best_num, best_den = pa, pa_prev
     out.reverse()
     return out
+
+
+def store_gap_ratio(k, store):
+    """True when k's lowest terms are p_n over p_{n-1} for two primes of the store."""
+    primes = store.primes
+    j = int(primes.searchsorted(k.denominator))
+    return primes[j : j + 2].tolist() == [k.denominator, k.numerator]
+
+
+def sieve_first_k_ramanujan(k):
+    """R_1^(k) from a sieve to the certified bound: (prime, index, flag)."""
+    bound = certified_bound(k)
+    store = shared_store(bound)
+    rows = breakpoints(k, store.prime_count(bound), store)
+    prime, index = (rows[-1].prime, rows[-1].index) if rows else (2, 1)
+    return prime, index, store_gap_ratio(k, store)
 
 
 def characterizes(m, k, store):
@@ -291,9 +318,22 @@ def test_breakpoints_match_reference(store_10m, data):
     )
 
 
-def test_k_equals_gap_ratio_flag(store_60k):
-    assert k_equals_gap_ratio(Fraction(127, 113), store_60k)
-    assert not k_equals_gap_ratio(Fraction("1.1"), store_60k)
+def test_k_equals_gap_ratio_flag():
+    assert k_equals_gap_ratio(Fraction(127, 113), 58890)
+    assert not k_equals_gap_ratio(Fraction(127, 113), 126)  # p_n past the bound
+    assert not k_equals_gap_ratio(Fraction("1.1"), 58890)
+
+
+def test_trial_division_flag_matches_the_store(store_60k):
+    # every gap ratio below 60,000, every ratio that skips a prime, and
+    # non-ratios: 2 = 2/1, 1.1 = 11/10 and 9/7 (7 is prime, 9 is not)
+    ps = store_60k.primes.tolist()
+    ks = [Fraction(q, p) for p, q in zip(ps, ps[1:])]
+    ks += [Fraction(r, p) for p, r in zip(ps, ps[2:])]
+    ks += [Fraction(2), Fraction("1.1"), Fraction(9, 7)]
+    got = [k_equals_gap_ratio(k, 60_000) for k in ks]
+    assert got == [store_gap_ratio(k, store_60k) for k in ks]
+    assert sum(got) == len(ps) - 1
 
 
 @pytest.mark.parametrize(
@@ -308,5 +348,99 @@ def test_k_equals_gap_ratio_flag(store_60k):
     ],
 )
 def test_answer_flag_agrees_with_the_store(store_60k, k):
-    # the store behind the certified bound decides the flag as a 60k store does
-    assert first_k_ramanujan(k).k_equals_gap_ratio == k_equals_gap_ratio(k, store_60k)
+    # the bound 58890 decides the flag as a 60k store does
+    assert first_k_ramanujan(k).k_equals_gap_ratio == store_gap_ratio(k, store_60k)
+
+
+class TestRecordTable:
+    """records.csv, the table first_k_ramanujan reads, and its header."""
+
+    FLOOR = Fraction(100001, 100000)
+
+    def test_header(self):
+        header = RECORDS.read_text().splitlines()[0]
+        assert header.split() == [
+            "floor", "100001/100000", "horizon", str(DEFAULT_SIEVE_BUDGET)
+        ]
+        assert core._records()[0] == DEFAULT_SIEVE_BUDGET
+
+    def test_rows_are_the_records_above_the_floor(self):
+        # the last row, 20831533, is below 2.1*10^7
+        store = sieve_upto(21_000_000)
+        rows = breakpoints(self.FLOOR, store.count, store)
+        assert core._records()[1] == [(r.index, r.prime, r.prev_prime) for r in rows]
+        assert len(rows) == 92
+        assert rows[-1].prime == 20831533
+
+    def test_paper_rows(self, store_60k):
+        above = [
+            (a, p, q)
+            for a, p, q in core._records()[1]
+            if p * PAPER_K.denominator > PAPER_K.numerator * q
+        ]
+        paper = breakpoints(PAPER_K, 5950, store_60k)
+        assert above == [(r.index, r.prime, r.prev_prime) for r in paper]
+        assert len(above) == 44 and above[-1] == (5950, 58889, 58831)
+
+    def test_every_k_within_the_horizon_is_above_the_floor(self):
+        # the bound does not increase with k, so a k whose bound is within
+        # the horizon exceeds the floor
+        assert certified_bound(self.FLOOR) == 10848210585662 > DEFAULT_SIEVE_BUDGET
+
+    @pytest.mark.slow
+    def test_regenerated_table_is_the_committed_file(self):
+        proc = subprocess.run(
+            [sys.executable, "scripts/records.py"],
+            cwd=REPO,
+            env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+            capture_output=True,
+            timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == RECORDS.read_bytes()
+
+
+# the bound does not increase with k, so every k >= K_LOW has a certified
+# bound <= 3,001,491 and the sieve stays small
+K_LOW = Fraction("1.0000405")
+K_LOW_BOUND = 3_001_491
+
+
+def _k_within_trudgian(data):
+    way = data.draw(st.sampled_from(["log_uniform", "gap_ratio", "row", "large"]))
+    if way == "log_uniform":
+        t = data.draw(st.floats(min_value=math.log(4.05e-5), max_value=0.0))
+        return max(K_LOW, 1 + Fraction(math.exp(t)))
+    if way == "gap_ratio":  # p_n <= 49,000 keeps p_n/p_{n-1} above 1.0000405
+        store = shared_store(60_000)
+        n = data.draw(st.integers(min_value=2, max_value=store.prime_count(49_000)))
+        return Fraction(store.nth_prime(n), store.nth_prime(n - 1))
+    if way == "row":  # a record ratio, or next to it
+        ratios = [Fraction(p, q) for _, p, q in core._records()[1]]
+        r = data.draw(st.sampled_from([r for r in ratios if r > K_LOW + 1e-15]))
+        return r + data.draw(st.sampled_from([0, 1, -1])) * Fraction(1, 10**15)
+    return data.draw(st.fractions(min_value=2, max_value=10**6, max_denominator=10**6))
+
+
+def _assert_table_matches_the_sieve(k):
+    assert certified_bound(k) <= K_LOW_BOUND
+    answer = first_k_ramanujan(k)
+    assert (answer.prime, answer.index, answer.k_equals_gap_ratio) == (
+        sieve_first_k_ramanujan(k)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_table_matches_the_sieve(data):
+    k = _k_within_trudgian(data)
+    assert k >= K_LOW
+    _assert_table_matches_the_sieve(k)
+
+
+@pytest.mark.parametrize(
+    "k", [K_LOW, Fraction(2898359, 2898239), Fraction(5, 3), Fraction(3, 2)]
+)
+def test_table_matches_the_sieve_at(k):
+    assert certified_bound(K_LOW) == K_LOW_BOUND
+    _assert_table_matches_the_sieve(k)

@@ -30,6 +30,9 @@ MIXED = [
     GapTheorem("custom", 3, Fraction(1), 3),
     GapTheorem("custom", 3, Fraction(3, 10), 2),
 ]
+# every gap below 10^9 breaks q <= p(1 + 10^-9/log p), so a report lists every
+# pair it checked as a violation, the one at lo first
+EVERY_GAP_FAILS = GapTheorem("custom", 3, Fraction(1, 10**9), 1)
 
 
 def largest_violation(c, e, lo, hi, store):
@@ -238,13 +241,34 @@ def test_streaming_matches_stored_table(thm, odds, jobs, ends):
         pytest.param(1346, 1500, 56, id="lo-below-seam-1347"),
         # segments of one odd each: most hold no prime
         pytest.param(1000, 2000, 1, id="empty-segments"),
+        # the scan starts at the segment holding lo, after the last prime
+        # below it: 1328..1360 holds no prime, so 1340 reaches back to 1327
+        pytest.param(1340, 1500, 1, id="lo-past-empty-segments"),
+        pytest.param(1330, 1500, 8, id="lo-below-seam-1331"),
+        pytest.param(1331, 1500, 8, id="lo-on-seam-1331"),
+        pytest.param(1348, 1500, 8, id="lo-past-empty-segment-1331"),
     ],
 )
 @pytest.mark.parametrize("jobs", [1, 3])
 def test_streaming_edges(lo, hi, odds, jobs, monkeypatch):
     monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", odds)
-    for thm in MIXED:
+    for thm in [*MIXED, EVERY_GAP_FAILS]:
         _assert_streams_like_stored_table(thm, lo, hi, jobs)
+
+
+def test_segments_below_lo_are_not_sieved(monkeypatch):
+    # [1331, 1347) holds no prime, so 1327 comes from [1315, 1331)
+    monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", 8)
+    lows, segment = [], primes_mod._segment
+
+    def spy(low, *rest):
+        lows.append(low)
+        return segment(low, *rest)
+
+    monkeypatch.setattr(primes_mod, "_segment", spy)
+    verify_theorem(EVERY_GAP_FAILS, 1348, 2000)
+    # the base primes, up to isqrt(2000) = 44, are sieved in segments of their own
+    assert sorted(low for low in lows if low > 44) == list(range(1315, 2000, 16))
 
 
 @pytest.mark.parametrize("jobs", [1, 3])
