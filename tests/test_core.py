@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 import random
@@ -29,6 +30,7 @@ from kramanujan import (
     parse_rational,
     sieve_upto,
 )
+from kramanujan import primes as primes_mod
 from kramanujan.core import k_equals_gap_ratio, shared_store
 from kramanujan.primes import DEFAULT_SIEVE_BUDGET
 
@@ -365,8 +367,9 @@ class TestRecordTable:
         assert core._records()[0] == DEFAULT_SIEVE_BUDGET
 
     def test_rows_are_the_records_above_the_floor(self):
-        # the last row, 20831533, is below 2.1*10^7
-        store = sieve_upto(21_000_000)
+        # the largest gap below 2*10^9 is 292 (Oliveira e Silva, Herzog and
+        # Pardi 2014), so no ratio past p_(a-1) = 292 * 10^5 exceeds the floor
+        store = sieve_upto(29_200_292)
         rows = breakpoints(self.FLOOR, store.count, store)
         assert core._records()[1] == [(r.index, r.prime, r.prev_prime) for r in rows]
         assert len(rows) == 92
@@ -386,6 +389,37 @@ class TestRecordTable:
         # the bound does not increase with k, so a k whose bound is within
         # the horizon exceeds the floor
         assert certified_bound(self.FLOOR) == 10848210585662 > DEFAULT_SIEVE_BUDGET
+
+    @pytest.mark.parametrize(
+        "floor, horizon, odds, prefix, count",
+        [
+            # the largest gap to 10^6 is 114, after 492113
+            (Fraction(1001, 1000), 10**6, None, 114 * 1000 + 114, 43),
+            (Fraction(100001, 100000), 10**6, None, 10**6, 74),  # the horizon
+            (Fraction(11, 10), 10**6, None, 114 * 10 + 114, 7),
+            # segments 60 wide: the largest gap to 10^5, 72 after 31397, is a seam's
+            (Fraction(1001, 1000), 10**5, 30, 72 * 1000 + 72, 43),
+        ],
+    )
+    def test_generator_at_a_small_horizon(
+        self, monkeypatch, floor, horizon, odds, prefix, count
+    ):
+        spec = importlib.util.spec_from_file_location(
+            "records", REPO / "scripts" / "records.py"
+        )
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        store = sieve_upto(horizon)
+        expected = breakpoints(floor, store.count, store)
+        limits = []
+        monkeypatch.setattr(
+            script, "sieve_upto", lambda n: limits.append(n) or sieve_upto(n)
+        )
+        if odds:
+            monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", odds)
+        rows = script.records(floor, horizon)
+        assert rows == [(r.index, r.prime, r.prev_prime) for r in expected]
+        assert limits == [prefix] and len(rows) == count
 
     @pytest.mark.slow
     def test_regenerated_table_is_the_committed_file(self):
