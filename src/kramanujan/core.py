@@ -7,9 +7,9 @@ import math
 import os
 import re
 from contextlib import suppress
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
+from typing import NamedTuple
 
 from .errors import DomainError, InconclusiveError, RangeError, UnsupportedRangeError
 from .errors import ResourceLimitError
@@ -38,8 +38,7 @@ def parse_rational(text: str) -> Fraction:
     return x
 
 
-@dataclass(frozen=True)
-class BreakpointEntry:
+class BreakpointEntry(NamedTuple):
     """One ratio-record row: p_index/p_{index-1} beats every later gap ratio."""
 
     index: int
@@ -48,8 +47,7 @@ class BreakpointEntry:
     ratio: Fraction
 
 
-@dataclass(frozen=True)
-class Answer:
+class Answer(NamedTuple):
     """R_1^(k) = p_index, read from the record table below the certified
     bound, and whether k is exactly some gap ratio p_n/p_{n-1}."""
 
@@ -102,18 +100,28 @@ def certified_bound(k: Fraction) -> int:
 def first_k_ramanujan(k: Fraction) -> Answer:
     """R_1^(k) as an Answer(prime, index, bound, k_equals_gap_ratio).
 
-    The prime is p_m for m = max{n >= 2 | p_n/p_{n-1} > k}, or 2 when no gap
-    ratio exceeds k.  Past the certified bound no ratio exceeds k, so p_m is
-    the last row above k of records.csv, the right-to-left record table up to
-    its horizon; every k whose bound is within the horizon exceeds its floor.
+    The prime is p_m for m = max{n >= 2 | p_n/p_{n-1} > k}, the last row of
+    records_above(k), or 2 when no gap ratio exceeds k.
+    """
+    bound, rows = records_above(k)
+    prime, index = (rows[-1].prime, rows[-1].index) if rows else (2, 1)
+    return Answer(prime, index, bound, k_equals_gap_ratio(k, bound))
+
+
+def records_above(k: Fraction) -> tuple[int, list[BreakpointEntry]]:
+    """certified_bound(k) and the rows above k of records.csv, the right-to-left
+    record table up to its horizon; ResourceLimitError past the horizon.
+
+    No gap ratio past the bound exceeds k, and k exceeds the table's floor, so
+    the rows are breakpoints(k, N) for every N >= the last row's index (or 1).
     """
     bound = certified_bound(k)
     horizon, rows = _records()
     if bound > horizon:
         raise ResourceLimitError(f"certified bound {bound} exceeds budget {horizon}")
-    above = [(p, a) for a, p, q in rows if p * k.denominator > k.numerator * q]
-    prime, index = above[-1] if above else (2, 1)
-    return Answer(prime, index, bound, k_equals_gap_ratio(k, bound))
+    num, den = k.numerator, k.denominator
+    above = [(a, p, q) for a, p, q in rows if p * den > num * q]
+    return bound, [BreakpointEntry(a, p, q, Fraction(p, q)) for a, p, q in above]
 
 
 def _records() -> tuple[int, list[tuple[int, ...]]]:

@@ -11,10 +11,10 @@ made here and passed explicitly, never read from or set on a thread.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from functools import partial
+from typing import NamedTuple
 
 from .errors import DomainError, UnsupportedRangeError
 
@@ -62,16 +62,16 @@ def _corollary(k: Fraction, c: Fraction, e: int, prec: int) -> tuple:
     return lo, hi
 
 
-@dataclass(frozen=True)
-class GapTheorem:
-    name: str
-    x0: int
-    c: Fraction
-    e: int
+class GapTheorem(
+    NamedTuple("GapTheorem", [("name", str), ("x0", int), ("c", Fraction), ("e", int)])
+):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.x0 < 2 or self.c <= 0 or self.e < 1:
+    def __new__(cls, name: str, x0: int, c: Fraction, e: int):
+        self = super().__new__(cls, name, x0, c, e)
+        if x0 < 2 or c <= 0 or e < 1:
             raise DomainError(f"invalid theorem parameters {self!r}")
+        return self
 
     def k_max(self, prec: int) -> tuple[Fraction, Fraction]:
         """Enclosure of k_max = 1 + c/log^e(x0), the largest k certified."""

@@ -13,7 +13,7 @@ import math
 import sys
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DomainError, RangeError
 from .primes import segments
@@ -31,14 +31,13 @@ PRESCREEN_GUARD = 1e-9
 _SCAN_PAIRS = 1 << 16
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     theorem: GapTheorem
     lo: int
     hi: int
     pairs_checked: int
-    violations: list[tuple[int, int, float]] = field(default_factory=list)
-    elapsed: float = 0.0
+    violations: list[tuple[int, int, float]]
+    elapsed: float
 
     @property
     def ok(self) -> bool:
@@ -117,11 +116,5 @@ def verify_theorem(
             pairs += count
             violations += found
             last = end or last  # a segment without a prime carries it over
-    return VerificationReport(
-        theorem=thm,
-        lo=lo,
-        hi=hi,
-        pairs_checked=pairs,
-        violations=violations,
-        elapsed=time.perf_counter() - start,
-    )
+    elapsed = time.perf_counter() - start
+    return VerificationReport(thm, lo, hi, pairs, violations, elapsed)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from kramanujan import GapTheorem, breakpoints, cli, core
 from kramanujan.cli import main
+from kramanujan.primes import DEFAULT_SIEVE_BUDGET
 from kramanujan.verify import VerificationReport
 
 
@@ -208,6 +209,41 @@ def test_table_default_reproduces_44_rows(capsys):
     assert len(lines) == 45
     assert lines[1] == "1,3,5,3,5,3"
     assert lines[-1].startswith("44,5950,58889,58831,")
+
+
+@pytest.mark.parametrize(
+    "index_limit", ["98222287", "1" + "0" * 400], ids=["pi(2e9)", "1e400"]
+)
+def test_table_past_the_sieve_budget_reads_the_record_table(
+    capsys, monkeypatch, index_limit
+):
+    # no gap ratio past p_5950 exceeds the paper's k_min, so records.csv holds
+    # its rows for every index limit from 5950 on, up to pi(2e9) and past it
+    paper = run(capsys, "table")
+    monkeypatch.setattr(core, "shared_store", None)  # nothing sieves
+    assert run(capsys, "table", "--index-limit", index_limit) == paper
+    assert paper[0] == 0 and len(paper[1].splitlines()) == 45
+
+
+@pytest.mark.parametrize(
+    "n, p_n",
+    # published primes: p_2..p_5, p_10^6, p_10^7 and p_pi(2e9), the last prime
+    # below 2e9 (pi(2e9) = 98,222,287)
+    [(2, 3), (3, 5), (4, 7), (5, 11), (10**6, 15_485_863), (10**7, 179_424_673),
+     (98_222_287, 1_999_999_973)],
+)
+def test_table_sieve_limit_reaches_p_n(n, p_n):
+    assert p_n <= cli._table_sieve_limit(n) <= DEFAULT_SIEVE_BUDGET
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=2, max_value=98_222_288))
+@example(94_032_343)  # where n(log n + log log n) + 16 first passes 2e9
+@example(98_222_287)
+@example(98_222_288)
+def test_table_sieve_limit_within_the_budget_up_to_pi_of_it(n):
+    # every index limit up to pi(2e9) sieves within the budget; past it, exit 5
+    assert (cli._table_sieve_limit(n) <= DEFAULT_SIEVE_BUDGET) == (n <= 98_222_287)
 
 
 def test_table_small_limit(capsys):
@@ -446,13 +482,24 @@ def test_verify_custom_missing_params_exit(capsys):
     assert code == 1
 
 
+def test_verify_custom_c_zero_domain_exit(capsys):
+    # c > 0 is GapTheorem's own check
+    code, out, err = run(
+        capsys, "verify", "--theorem", "custom", "--x0", "58837", "--c", "0",
+        "--e", "3", "--from", "58837", "--to", "60000",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid theorem parameters GapTheorem(")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["verify", "--theorem", "axler", "--from", "58837", "--to", "3000000000"],
         ["compute", "--k", "2", "--n", "2", "--scan-limit", "3000000000"],
         ["compute", "--k", "1.00000005"],  # axler's 125-digit bound
-        ["table", "--index-limit", "1" + "0" * 400],  # past the float range
+        # past the float range, at a k_min whose bound is past records.csv
+        ["table", "--k-min", "1.00001", "--index-limit", "1" + "0" * 400],
     ],
 )
 def test_sieve_budget_exit_5(capsys, argv):
@@ -774,14 +821,16 @@ def test_cli_imports_no_mpmath():
 
 
 def test_cli_starts_without_numpy():
-    # compute reads records.csv and bound is exact decimal arithmetic; numpy
-    # and the thread pool load with the first sieve
+    # compute and table at the paper's k_min read records.csv, and bound is
+    # exact decimal arithmetic; numpy and the thread pool load with the first sieve
     code = "\n".join([
         "import sys",
         "from kramanujan.cli import main",
         "heavy = ['numpy', 'concurrent.futures']",
         "assert main(['compute', '--k', '1.0008968291']) == 0",
         "assert main(['bound', '--k', '1.0001', '--theorem', 'dusart']) == 0",
+        "assert main(['table']) == 0",
+        "assert main(['table', '--index-limit', '98222287']) == 0",
         "print([m for m in heavy if m in sys.modules], file=sys.stderr)",
         "assert main(['verify', '--theorem', 'axler', '--from', '58837',"
         " '--to', '60000']) == 0",
@@ -790,6 +839,17 @@ def test_cli_starts_without_numpy():
     proc = run_fresh(sys.executable, "-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "[]\n['numpy', 'concurrent.futures']\n"
+
+
+def test_cli_imports_no_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize at every start
+    code = (
+        "import sys; before = set(sys.modules); import kramanujan.cli;"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    proc = run_fresh(sys.executable, "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize(

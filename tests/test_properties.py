@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from kramanujan import (
     cor_bound,
     first_k_ramanujan,
 )
+from kramanujan import cli, core
 from kramanujan.core import shared_store
 
 # certified bound for every k >= 1.0008968291 (the paper's horizon)
@@ -152,3 +154,35 @@ def test_failing_property_does_not_abort_the_session(tmp_path):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout
+
+
+def _k_min_within_the_table(data):
+    # k_min - 1 log-uniform in [2e-5, 1], where the bound is at most 2e9, or a
+    # record ratio of records.csv there, or next to it
+    if data.draw(st.booleans()):
+        t = data.draw(st.floats(min_value=math.log(2e-5), max_value=0.0))
+        return 1 + Fraction(math.exp(t))
+    ratios = [Fraction(p, q) for _, p, q in core._records()[1]]
+    r = data.draw(st.sampled_from([r for r in ratios if r >= Fraction("1.00002")]))
+    return r + data.draw(st.sampled_from([0, 1, -1])) * Fraction(1, 10**15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_table_rows_from_the_record_table(store_21m, data):
+    # no gap ratio past the last row a* above k_min exceeds it, so for every
+    # N >= a* the table is the record table's rows above k_min, with no sieve
+    k_min = _k_min_within_the_table(data)
+    bound, rows = core.records_above(k_min)
+    assert bound <= 2 * 10**9
+    a_star = rows[-1].index if rows else 1
+    n = data.draw(st.one_of(
+        st.sampled_from([max(a_star, 2), a_star + 1]),
+        st.integers(min_value=max(a_star, 2), max_value=store_21m.count),
+    ))
+    with mock.patch.object(core, "shared_store", None):  # nothing sieves
+        assert cli._table_rows(k_min, n) == rows
+    assert rows == breakpoints(k_min, n, store_21m)
+    if a_star > 2:  # one index short of a*, row a* is out of range: the table sieves
+        below = breakpoints(k_min, a_star - 1, store_21m)
+        assert cli._table_rows(k_min, a_star - 1) == below != rows

@@ -227,6 +227,24 @@ def test_one_sieve_budget_owner():
     assert core._shared is before
 
 
+@pytest.mark.parametrize(
+    "x0, c, e",
+    [(1, Fraction(1), 1), (0, Fraction(1), 1), (2, Fraction(0), 1),
+     (2, Fraction(-1, 2), 1), (2, Fraction(1), 0), (2, Fraction(1), -3)],
+)
+def test_gap_theorem_parameters_checked(x0, c, e):
+    with pytest.raises(DomainError, match="invalid theorem parameters GapTheorem"):
+        GapTheorem("custom", x0, c, e)
+
+
+def test_gap_theorem_fields_and_repr():
+    # a frozen record: the repr gives the field order
+    assert repr(AXLER) == "GapTheorem(name='axler', x0=58837, c=Fraction(297, 250), e=3)"
+    assert GapTheorem("axler", 58837, Fraction("1.188"), 3) == AXLER
+    with pytest.raises(AttributeError):
+        AXLER.c = Fraction(1)
+
+
 def test_error_types_carry_their_exit_codes():
     # cli.main returns e.exit_code for every package error
     errors = [
