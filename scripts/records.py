@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from kramanujan.core import breakpoints
-from kramanujan.primes import DEFAULT_SIEVE_BUDGET, segments, sieve_upto
+from kramanujan.primes import DEFAULT_SIEVE_BUDGET, segment_primes, segments, sieve_upto
 
 # certified_bound(FLOOR) is past the horizon, and the bound does not increase
 # with k, so every k whose bound is within the horizon exceeds FLOOR.
@@ -37,7 +37,8 @@ def records(floor: Fraction, horizon: int) -> list[tuple[int, int, int]]:
     """Rows (a, p_a, p_(a-1)) in index order, for floor > 1."""
     gap, last = 0, 2  # the largest gap so far, and the last prime
     for part in segments(horizon):
-        primes = np.append(last, part())  # the seam's gap too
+        found = segment_primes(part(), part.args[0])
+        primes = np.append(last, found)  # the seam's gap too
         gap, last = max(gap, int(np.diff(primes).max(initial=0))), int(primes[-1])
     num, den = floor.numerator, floor.denominator
     store = sieve_upto(min(horizon, gap * den // (num - den) + gap))

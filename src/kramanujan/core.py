@@ -18,6 +18,9 @@ from .theorems import BUILTIN_THEOREMS, GapTheorem
 
 _RATIONAL = re.compile(r"^\s*(\d+(?:\.\d{1,15})?|\d+/0*[1-9]\d*)\s*$")
 
+# Gap ratios per float chunk of breakpoints.  Semantically invisible (tested).
+_RATIO_CHUNK = 1 << 16
+
 # The largest sieve built so far.  A bigger store answers any smaller
 # request identically because all searches are index-bounded.
 _shared: PrimeStore | None = None
@@ -192,19 +195,22 @@ def breakpoints(
         raise RangeError(f"index limit {index_limit} outside 2..{store.count}")
     import numpy as np
     primes = store.primes[:index_limit]
-    ratios = np.divide(primes[1:], primes[:-1])
     # every gap ratio is below 2 (Bertrand), and a huge k_min overflows a float
-    near = np.flatnonzero(ratios >= float(min(k_min, 2)))
-    r = ratios[near]
-    del ratios
-    candidates = near[r == np.maximum.accumulate(r[::-1])[::-1]]
+    top = float(min(k_min, 2))  # the float maximum so far, right to left
     out: list[BreakpointEntry] = []
     best_num, best_den = k_min.numerator, k_min.denominator  # ratio to beat
-    for j in reversed(candidates.tolist()):
-        pa, pa_prev = int(primes[j + 1]), int(primes[j])
-        if pa * best_den > best_num * pa_prev:
-            out.append(BreakpointEntry(j + 2, pa, pa_prev, Fraction(pa, pa_prev)))
-            best_num, best_den = pa, pa_prev
+    for s in reversed(range(0, index_limit - 1, _RATIO_CHUNK)):
+        chunk = primes[s : s + _RATIO_CHUNK + 1]
+        ratios = np.divide(chunk[1:], chunk[:-1])
+        near = np.flatnonzero(ratios >= top)
+        r = ratios[near]
+        suffix_max = np.maximum.accumulate(r[::-1])[::-1]
+        for j in reversed((near[r == suffix_max] + s).tolist()):
+            pa, pa_prev = int(primes[j + 1]), int(primes[j])
+            if pa * best_den > best_num * pa_prev:
+                out.append(BreakpointEntry(j + 2, pa, pa_prev, Fraction(pa, pa_prev)))
+                best_num, best_den = pa, pa_prev
+        top = max(suffix_max[:1], default=top)  # near holds only ratios >= top
     out.reverse()
     return out
 

@@ -17,6 +17,10 @@ DEFAULT_SIEVE_BUDGET = 2_000_000_000
 # positive value (tested).
 _SEGMENT_ODDS = 1 << 20
 
+# A segment starts from a tiled pattern, 3*5*7*11*13 = 15015 odds (15 KB) long,
+# that already strikes the odd multiples of these primes.
+_WHEEL = (3, 5, 7, 11, 13)
+
 
 class PrimeStore:
     """Immutable, 1-indexed table of all primes up to ``limit``.
@@ -73,9 +77,10 @@ def sieve_upto(limit: int) -> PrimeStore:
 
 
 def segments(limit: int) -> list[partial]:
-    """One zero-argument sieve per segment of [3, limit], in order, each
-    returning its primes and taking its segment's low end as first argument;
-    the only range and budget check of a sieve."""
+    """One zero-argument sieve per segment [low, high) of [3, limit], in order,
+    each returning its odd mask (entry i: whether low + 2i is prime) and taking
+    low and high as its first two arguments; the only range and budget check of
+    a sieve."""
     if limit < 0:
         raise RangeError("sieve limit must be non-negative")
     if limit > DEFAULT_SIEVE_BUDGET:
@@ -84,26 +89,40 @@ def segments(limit: int) -> list[partial]:
         )
     if limit < 3:
         return []
+    import numpy as np
     odd_base = _sieve(math.isqrt(limit))[1:]
+    wheel = np.ones(math.prod(_WHEEL), dtype=bool)  # entry j stands for 2j + 1
+    for p in _WHEEL:
+        wheel[p // 2 :: p] = False
     span = 2 * _SEGMENT_ODDS
     return [
-        partial(_segment, low, min(low + span, limit + 1), odd_base)
+        partial(_segment, low, min(low + span, limit + 1), odd_base, wheel)
         for low in range(3, limit + 1, span)
     ]
 
 
-def _segment(low: int, high: int, odd_base: np.ndarray) -> np.ndarray:
-    """Primes in [low, high) for odd low, struck by the odd base primes."""
-    import numpy as np
-    mask = np.ones((high - low + 1) // 2, dtype=bool)
-    start = np.maximum(odd_base * odd_base, -(-low // odd_base) * odd_base)
-    start += odd_base * (start % 2 == 0)  # first odd multiple
-    for p, i in zip(odd_base.tolist(), ((start - low) // 2).tolist()):
-        mask[i::p] = False  # a start past the segment strikes nothing
-    found = np.flatnonzero(mask)
+def segment_primes(mask: np.ndarray, low: int) -> np.ndarray:
+    """The primes low + 2i of a segment's odd mask."""
+    found = mask.nonzero()[0]
     found *= 2  # in place: one temporary per segment
     found += low
     return found
+
+
+def _segment(
+    low: int, high: int, odd_base: np.ndarray, wheel: np.ndarray
+) -> np.ndarray:
+    """Odd mask of [low, high) for odd low: the wheel (entry j: 2j + 1 is prime to
+    15015) tiled from low, its primes restored, the base primes above 13 struck."""
+    import numpy as np
+    mask = np.resize(np.roll(wheel, -(low // 2)), (high - low + 1) // 2)
+    mask[[(p - low) // 2 for p in _WHEEL if low <= p < high]] = True
+    base = odd_base[len(_WHEEL) :]  # odd_base starts 3, 5, 7, 11, 13 when it has them
+    start = np.maximum(base * base, -(-low // base) * base)
+    start += base * (start % 2 == 0)  # first odd multiple
+    for p, i in zip(base.tolist(), ((start - low) // 2).tolist()):
+        mask[i::p] = False  # a start past the segment strikes nothing
+    return mask
 
 
 def _sieve(limit: int) -> np.ndarray:
@@ -117,7 +136,7 @@ def _sieve(limit: int) -> np.ndarray:
     out[0] = 2
     count = 1
     for part in parts:
-        found = part()
+        found = segment_primes(part(), part.args[0])
         out[count : count + len(found)] = found
         count += len(found)
     return out[:count]  # a view: the unwritten tail is never paged in

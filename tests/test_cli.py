@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kramanujan import GapTheorem, breakpoints, cli, core
+from kramanujan import primes as primes_mod
 from kramanujan.cli import main
 from kramanujan.primes import DEFAULT_SIEVE_BUDGET
 from kramanujan.verify import VerificationReport
@@ -467,6 +469,29 @@ def test_verify_jobs_flag(capsys):
     assert a["violations"] == b["violations"]
 
 
+def test_verify_jobs_2_stdout_is_jobs_1_stdout(capsys, monkeypatch):
+    # segments of 10^5 integers: ten, so --jobs 2 scans in processes
+    monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", 50_000)
+    args = ["verify", "--theorem", "custom", "--x0", "58837", "--c", "0.05",
+            "--e", "3", "--from", "58837", "--to", "1000000"]
+    (code, one, _), (code2, two, _) = (run(capsys, *args, "--jobs", j) for j in "12")
+    assert code == code2 == 3
+    assert len(json.loads(one)["violations"]) == 36_275
+    elapsed = re.compile(r'"elapsed_seconds": .*')
+    assert elapsed.sub("", one) == elapsed.sub("", two)
+
+
+def test_verify_jobs_without_fork_exit(capsys, monkeypatch):
+    def no_fork(method=None):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    code, out, err = run(capsys, "verify", "--theorem", "axler", "--from", "58837",
+                         "--to", "5000000", "--jobs", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --jobs 2 ") and err.count("\n") == 1
+
+
 def test_verify_jobs_below_one_exit(capsys):
     code, out, err = run(capsys, "verify", "--theorem", "axler", "--from", "58837",
                          "--to", "60000", "--jobs", "0")
@@ -822,7 +847,8 @@ def test_cli_imports_no_mpmath():
 
 def test_cli_starts_without_numpy():
     # compute and table at the paper's k_min read records.csv, and bound is
-    # exact decimal arithmetic; numpy and the thread pool load with the first sieve
+    # exact decimal arithmetic; numpy loads with the first sieve, and a verify
+    # at --jobs 1 starts no process pool
     code = "\n".join([
         "import sys",
         "from kramanujan.cli import main",
@@ -838,7 +864,7 @@ def test_cli_starts_without_numpy():
     ])
     proc = run_fresh(sys.executable, "-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "[]\n['numpy', 'concurrent.futures']\n"
+    assert proc.stderr == "[]\n['numpy']\n"
 
 
 def test_cli_imports_no_dataclasses():

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -297,6 +298,29 @@ class TestBreakpoints:
         assert float(below) == float(last)
         assert len(breakpoints(below, 5950, store_60k)) == 44
         assert len(breakpoints(last, 5950, store_60k)) == 43
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 1000])
+def test_breakpoints_independent_of_ratio_chunk(chunk, store_60k, monkeypatch):
+    # chunk seams fall between a record and the later ratios it must beat
+    monkeypatch.setattr(core, "_RATIO_CHUNK", chunk)
+    for k_min in (Fraction(1), PAPER_K, Fraction(3, 2), Fraction(5, 3), Fraction(2)):
+        for index_limit in (2, 3, 1001, 5950, store_60k.count):
+            want = reference_breakpoints(k_min, index_limit, store_60k)
+            assert breakpoints(k_min, index_limit, store_60k) == want
+
+
+def test_breakpoints_peak_is_a_fraction_of_the_store(store_21m):
+    # k_min = 1 passes every ratio through the first float cut
+    tracemalloc.start()
+    try:
+        rows = breakpoints(Fraction(1), store_21m.count, store_21m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows[0] == BreakpointEntry(3, 5, 3, Fraction(5, 3))
+    assert store_21m.count > 1_300_000
+    assert peak < store_21m.primes.nbytes / 2
 
 
 def _record_k_min(data, store):

@@ -1,3 +1,5 @@
+import bisect
+import math
 import sys
 from fractions import Fraction
 
@@ -73,6 +75,37 @@ def test_sieve_under_a_tracer():
     finally:
         sys.settrace(previous)
     assert traced.primes.tolist() == expected
+
+
+@pytest.fixture(scope="module")
+def odd_trial_primes_1m():
+    """Primes <= 10^6 by trial division of odd n by the primes up to sqrt(n)."""
+    found = [2]
+    for n in range(3, 10**6 + 1, 2):
+        root = math.isqrt(n)
+        for p in found:  # ends at a divisor or past the root, which found reaches
+            if p > root or n % p == 0:
+                break
+        if p > root:
+            found.append(n)
+    return found
+
+
+# Around the wheel's last prime; 169 = 13^2, which only the wheel strikes (the
+# base primes up to 13 are all wheel primes); and both sides of the end of the
+# pattern's first period, 2 * 15015 integers from 1.
+WHEEL_LIMITS = [13, 14, 17, 169, 2 * 15015 - 2, 2 * 15015 + 2, 10**6]
+
+
+@pytest.mark.parametrize("limit", WHEEL_LIMITS)
+@pytest.mark.parametrize("odds", [primes_mod._SEGMENT_ODDS, 15014, 1000])
+def test_wheel_sieve_matches_trial_division(
+    limit, odds, odd_trial_primes_1m, monkeypatch
+):
+    # segments shorter than the pattern's 15015 odds start it at varied phases
+    monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", odds)
+    want = odd_trial_primes_1m[: bisect.bisect_right(odd_trial_primes_1m, limit)]
+    assert sieve_upto(limit).primes.tolist() == want
 
 
 def test_sieve_independent_of_segment_size(monkeypatch):

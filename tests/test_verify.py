@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import time
 import tracemalloc
 from fractions import Fraction
@@ -274,21 +275,108 @@ def test_segments_below_lo_are_not_sieved(monkeypatch):
 @pytest.mark.parametrize("jobs", [1, 3])
 def test_streaming_empty_last_segment(jobs, monkeypatch):
     monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", 56)
-    assert primes_mod.segments(1359)[-1]().size == 0  # [1347, 1359]
+    assert not primes_mod.segments(1359)[-1]().any()  # [1347, 1359]
     for thm in MIXED:
         _assert_streams_like_stored_table(thm, 100, 1359, jobs)
 
 
 def test_streaming_memory_is_per_segment():
-    # a table to 5*10^7 alone is 24 MB of int64 primes
+    # a table to 5*10^7 alone is 24 MB of int64 primes; at jobs 1, since
+    # tracemalloc sees nothing of the worker processes
     tracemalloc.start()
     try:
-        report = verify_theorem(AXLER, AXLER.x0, 5 * 10**7, jobs=2)
+        report = verify_theorem(AXLER, AXLER.x0, 5 * 10**7, jobs=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert report.ok
     assert peak < 16 * 2**20
+
+
+# fails on 8 gaps up to 113 -> 127, and above a few hundred its gap_floor lets
+# the gate pass a segment whose every block of 8 or 16 odds holds a prime
+GATED = GapTheorem("custom", 3, Fraction(1, 2), 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    thm=st.sampled_from([*MIXED, GATED]),
+    odds=st.sampled_from([56, 200, 1000]),
+    block=st.sampled_from([4, 8, 16]),
+    jobs=st.sampled_from([1, 2]),
+    ends=st.lists(st.integers(3, 20_000), min_size=2, max_size=2),
+)
+def test_gate_matches_stored_table(thm, odds, block, jobs, ends):
+    with mock.patch.object(primes_mod, "_SEGMENT_ODDS", odds):
+        with mock.patch.object(verify_mod, "_GATE_BLOCK", block):
+            _assert_streams_like_stored_table(thm, *sorted(ends), jobs)
+
+
+def test_gate_passes_segments(monkeypatch):
+    # a segment the gate passes never has its primes extracted
+    monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", 200)
+    monkeypatch.setattr(verify_mod, "_GATE_BLOCK", 16)
+    extracted = []
+
+    def spy(mask, low):
+        extracted.append(low)
+        return primes_mod.segment_primes(mask, low)
+
+    monkeypatch.setattr(verify_mod, "segment_primes", spy)
+    _assert_streams_like_stored_table(GATED, 1000, 20_000, 1)
+    scanned = [s.args[0] for s in primes_mod.segments(20_000) if s.args[0] >= 1000]
+    gated = set(scanned) - set(extracted)
+    assert 10 < len(gated) < len(scanned)
+
+
+@pytest.mark.parametrize("block", [8, 16])
+def test_gate_returns_what_extraction_returns(block, monkeypatch):
+    # ends and pair counts: lo = 1000 lies inside [899, 1011), and the last
+    # segment, [1347, 1359], is shorter than a block and holds no prime; with
+    # blocks of 16 odds the gate passes most others
+    monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", 56)
+    monkeypatch.setattr(verify_mod, "_GATE_BLOCK", block)
+    for seg in primes_mod.segments(1359):
+        primes = primes_mod.segment_primes(seg(), seg.args[0]).tolist()
+        pairs = len([q for q in primes[1:] if q > 1000])
+        want = (primes[:1], primes[-1:], pairs)
+        assert verify_mod._scan_segment(GATED, seg, 1000)[:3] == want
+
+
+def test_gate_needs_a_floor_of_four_blocks(monkeypatch):
+    # every block of 8 odds of [1123, 1235) holds a prime, and 1129 -> 1151
+    # breaks c = 3/25, e = 1, whose gap_floor there, 16, is short of 4 * 8 - 2
+    monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", 56)
+    monkeypatch.setattr(verify_mod, "_GATE_BLOCK", 8)
+    report = verify_theorem(GapTheorem("custom", 3, Fraction(3, 25), 1), 1123, 1234)
+    assert (1129, 1151) in [(p, q) for p, q, _ in report.violations]
+
+
+def _fail_in_the_worker(*args):
+    raise RuntimeError("scan failed")
+
+
+@pytest.mark.parametrize("case", ["returns", "violations", "worker-raises"])
+def test_no_process_outlives_jobs_2(case, monkeypatch):
+    # AXLER.x0 lies in the first segment, so only the workers scan
+    if case == "worker-raises":
+        monkeypatch.setattr(verify_mod, "_scan_segment", _fail_in_the_worker)
+        with pytest.raises(RuntimeError, match="scan failed"):
+            verify_theorem(AXLER, AXLER.x0, 10**7, jobs=2)
+    else:
+        thm = AXLER if case == "returns" else CUSTOM_WEAK
+        assert verify_theorem(thm, AXLER.x0, 10**7, jobs=2).ok == (thm is AXLER)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("hi,pooled", [(10**7, False), (10**8, True)])
+def test_pool_from_pool_segments(hi, pooled, monkeypatch):
+    # 5 segments scan inline at jobs 2, 48 in two processes
+    monkeypatch.setattr(verify_mod, "_POOL_SEGMENTS", 32)
+    pool = mock.Mock(wraps=verify_mod._pool)
+    monkeypatch.setattr(verify_mod, "_pool", pool)
+    assert verify_theorem(AXLER, AXLER.x0, hi, jobs=2).ok
+    pool.assert_called_once_with(2 if pooled else 1)
 
 
 def test_scan_chunk_accepts_zero_pairs():
