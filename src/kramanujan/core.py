@@ -1,5 +1,6 @@
-"""First (and nth) k-Ramanujan primes: definition-level oracle, fast
-characterization path, explicit upper bounds, and the breakpoint table."""
+"""First (and nth) k-Ramanujan primes: the record table's answers, explicit
+upper bounds, and one record-ratio search behind both the breakpoint table and
+the nth-prime scan."""
 
 from __future__ import annotations
 
@@ -42,7 +43,8 @@ def parse_rational(text: str) -> Fraction:
 
 
 class BreakpointEntry(NamedTuple):
-    """One ratio-record row: p_index/p_{index-1} beats every later gap ratio."""
+    """One ratio-record row: prime/prev_prime beats every later ratio of its
+    stride (p_index/p_{index-1} for the gap ratios)."""
 
     index: int
     prime: int
@@ -134,13 +136,14 @@ def _records() -> tuple[int, list[tuple[int, ...]]]:
 
 
 def brute_force_R(k: Fraction, n: int, scan_limit: int) -> int:
-    """Definition-level oracle for R_n^(k) by exhaustive critical-point scan.
+    """R_n^(k) from the critical points k*p_j <= scan_limit.
 
     The deficiency D(x) = pi(x) - pi(x/k) can only drop where pi(x/k) jumps,
-    i.e. at x = k*p; every x below p_n fails trivially since pi(x) < n
-    there.  After the last failing point k*p_j the answer is p_{n+j}.
-    Raises InconclusiveError when the last failure is past scan_limit/2,
-    because the tail cannot then be trusted.
+    at x = k*p_j, and there D < n iff p_{j+n} > k*p_j.  The last failing j is
+    the last row of the stride-n record search for ratios p_{j+n}/p_j above k,
+    and the answer is p_{n+j} (p_n when nothing fails).  Raises InconclusiveError
+    when the last failure is past scan_limit/2, because the tail cannot then
+    be trusted.
     """
     if n < 1:
         raise DomainError(f"Ramanujan index must be >= 1, got {n}")
@@ -148,41 +151,29 @@ def brute_force_R(k: Fraction, n: int, scan_limit: int) -> int:
         raise DomainError(f"threshold k must exceed 1, got {k}")
     if scan_limit < 4:
         raise RangeError(f"scan limit {scan_limit} too small")
-    import numpy as np
     store = shared_store(scan_limit)
-    primes = store.primes
-    num, den = k.numerator, k.denominator
-    if n > store.prime_count(scan_limit):
+    count = store.prime_count(scan_limit)  # the cached store may reach further
+    if n > count:
         raise InconclusiveError(f"fewer than {n} primes below scan limit {scan_limit}")
-
-    # Critical points x = k*p for primes p with k*p <= scan_limit.
-    p_hi = (scan_limit * den) // num
-    count = int(np.searchsorted(primes, p_hi, side="right"))
-    ps = primes[:count].tolist()
-    floors = np.fromiter(
-        ((num * p) // den for p in ps), dtype=np.int64, count=count
-    )
-    pi_at = np.searchsorted(primes, floors, side="right")
-    deficiency = pi_at - (np.arange(count) + 1)
-    failing = np.flatnonzero(deficiency < n)
-    last = 0  # 1-based index j of the last failing critical point k*p_j
-    if len(failing):
-        last = int(failing[-1]) + 1
-        if 2 * num * ps[last - 1] > scan_limit * den:
-            raise InconclusiveError(
-                f"last failing point k*{ps[last - 1]} is above {scan_limit}/2"
-            )
+    last = store.prime_count(scan_limit / k)  # the last critical point k*p_j
+    if 0 < last <= count - n:  # else p_{last+n} > scan_limit >= k*p_last fails
+        rows = breakpoints(k, last + n, store, n)
+        last = rows[-1].index - n if rows else 0
+    p = store.nth_prime(last) if last else 0
+    if 2 * k * p > scan_limit:
+        raise InconclusiveError(f"last failing point k*{p} is above {scan_limit}/2")
     # From k*p_j on, pi(x/k) = j up to the next critical point, which passes,
-    # so D(x) >= n exactly from p_{n+j} on (from p_n when nothing fails).
+    # so D(x) >= n exactly from p_{n+j} on.
     return store.nth_prime(n + last)
 
 
 def breakpoints(
-    k_min: Fraction, index_limit: int, store: PrimeStore
+    k_min: Fraction, index_limit: int, store: PrimeStore, n: int = 1
 ) -> list[BreakpointEntry]:
-    """Right-to-left strict record gap ratios over indices [2, index_limit].
+    """Right-to-left strict record ratios p_a/p_{a-n} over indices
+    [n + 1, index_limit]; prev_prime is p_{a-n}, the gap ratio's for n = 1.
 
-    Entry a is kept iff p_a/p_{a-1} beats every later ratio in range and
+    Entry a is kept iff p_a/p_{a-n} beats every later ratio in range and
     exceeds k_min strictly.  Output is sorted by index, so ratios strictly
     decrease along the list.
 
@@ -191,24 +182,24 @@ def breakpoints(
     monotone, so a record's float ratio is >= float(k_min) and equals the
     float maximum of the ratios after it; only those reach the big-int check.
     """
-    if not 2 <= index_limit <= store.count:
-        raise RangeError(f"index limit {index_limit} outside 2..{store.count}")
+    if not n + 1 <= index_limit <= store.count:
+        raise RangeError(f"index limit {index_limit} outside {n + 1}..{store.count}")
     import numpy as np
     primes = store.primes[:index_limit]
-    # every gap ratio is below 2 (Bertrand), and a huge k_min overflows a float
-    top = float(min(k_min, 2))  # the float maximum so far, right to left
+    # every ratio is below the last prime, and a huge k_min overflows a float
+    top = float(min(k_min, int(primes[-1])))  # the float maximum, right to left
     out: list[BreakpointEntry] = []
     best_num, best_den = k_min.numerator, k_min.denominator  # ratio to beat
-    for s in reversed(range(0, index_limit - 1, _RATIO_CHUNK)):
-        chunk = primes[s : s + _RATIO_CHUNK + 1]
-        ratios = np.divide(chunk[1:], chunk[:-1])
+    for s in reversed(range(0, index_limit - n, _RATIO_CHUNK)):
+        chunk = primes[s : s + _RATIO_CHUNK + n]
+        ratios = np.divide(chunk[n:], chunk[:-n])
         near = np.flatnonzero(ratios >= top)
         r = ratios[near]
         suffix_max = np.maximum.accumulate(r[::-1])[::-1]
-        for j in reversed((near[r == suffix_max] + s).tolist()):
-            pa, pa_prev = int(primes[j + 1]), int(primes[j])
+        for j in reversed((near[r == suffix_max] + s + n).tolist()):  # p_a = primes[j]
+            pa, pa_prev = int(primes[j]), int(primes[j - n])
             if pa * best_den > best_num * pa_prev:
-                out.append(BreakpointEntry(j + 2, pa, pa_prev, Fraction(pa, pa_prev)))
+                out.append(BreakpointEntry(j + 1, pa, pa_prev, Fraction(pa, pa_prev)))
                 best_num, best_den = pa, pa_prev
         top = max(suffix_max[:1], default=top)  # near holds only ratios >= top
     out.reverse()

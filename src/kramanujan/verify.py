@@ -120,7 +120,8 @@ def verify_theorem(
 
     if lo < max(thm.x0, 3):
         raise DomainError(
-            f"scan start {lo} is below the theorem's validity threshold {thm.x0}"
+            f"scan start {lo} is below {max(thm.x0, 3)}, the larger of the "
+            f"theorem's validity threshold {thm.x0} and 3"
         )
     if lo > hi:
         raise RangeError(f"empty verification range [{lo}, {hi}]")

@@ -16,7 +16,6 @@ from kramanujan import (
     AXLER,
     DUSART,
     breakpoints,
-    brute_force_R,
     certified_bound,
     cor_bound,
     first_k_ramanujan,
@@ -24,6 +23,8 @@ from kramanujan import (
     verify_theorem,
 )
 from kramanujan.cli import main
+
+from reference import critical_point_R
 
 # (n, a(n), p_{a(n)}) rows of the reference breakpoint table
 TABLE_A = [
@@ -78,7 +79,7 @@ def test_criterion_4_oracle_vs_characterization():
         # exact rational k uniformly in (1.001, 1.7)
         k = Fraction(1) + Fraction(rng.randint(1_001, 699_999), 1_000_000)
         scan = 2 * certified_bound(k)
-        assert brute_force_R(k, 1, scan) == first_k_ramanujan(k).prime, f"k = {k}"
+        assert critical_point_R(k, 1, scan) == first_k_ramanujan(k).prime, f"k = {k}"
     elapsed = time.perf_counter() - start
     assert elapsed < 300
     report(4, f"200 oracle/fast-path agreements in {elapsed:.1f}s")

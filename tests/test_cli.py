@@ -63,6 +63,11 @@ def test_compute_oracle(capsys):
     assert code == 0
     assert rec["prime"] == 11
     assert "scan limit 1000" in rec["caveat"]
+    code, rec = run_json(
+        capsys, "compute", "--k", "2", "--n", "9", "--method", "oracle",
+        "--scan-limit", "1000",
+    )
+    assert (code, rec["prime"], rec["index"]) == (0, 71, 20)  # R_9^(2) = p_20
 
 
 def test_compute_boundary_k_flagged(capsys):
@@ -498,6 +503,19 @@ def test_verify_jobs_below_one_exit(capsys):
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_verify_start_below_three_names_three(capsys):
+    # x0 = 2 admits a start of 2, but every scan starts at 3 or later
+    code, out, err = run(
+        capsys, "verify", "--theorem", "custom", "--x0", "2", "--c", "1", "--e", "1",
+        "--from", "2", "--to", "10",
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: scan start 2 is below 3, the larger of the theorem's validity "
+        "threshold 2 and 3\n"
+    )
 
 
 def test_verify_custom_missing_params_exit(capsys):

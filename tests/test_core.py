@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import pytest
@@ -35,23 +36,11 @@ from kramanujan import primes as primes_mod
 from kramanujan.core import k_equals_gap_ratio, shared_store
 from kramanujan.primes import DEFAULT_SIEVE_BUDGET
 
+from reference import critical_point_R, reference_breakpoints
+
 REPO = Path(__file__).resolve().parents[1]
 RECORDS = Path(core.__file__).with_name("records.csv")
 PAPER_K = Fraction("1.0008968291")
-
-
-def reference_breakpoints(k_min, index_limit, store):
-    """Exact right-to-left record loop over every index, no prescreen."""
-    primes = store.primes[:index_limit].tolist()
-    out = []
-    best_num, best_den = k_min.numerator, k_min.denominator  # ratio to beat
-    for a in range(index_limit, 1, -1):
-        pa, pa_prev = primes[a - 1], primes[a - 2]
-        if pa * best_den > best_num * pa_prev:
-            out.append(BreakpointEntry(a, pa, pa_prev, Fraction(pa, pa_prev)))
-            best_num, best_den = pa, pa_prev
-    out.reverse()
-    return out
 
 
 def store_gap_ratio(k, store):
@@ -194,7 +183,7 @@ class TestFirstKRamanujan:
             bound = certified_bound(k)
             prime = first_k_ramanujan(k).prime
             assert prime <= bound
-            assert brute_force_R(k, 1, 2 * bound) == prime
+            assert critical_point_R(k, 1, 2 * bound) == prime
 
     def test_unsupported_range(self):
         # the bound 10848210585662 is past the sieve budget
@@ -213,7 +202,7 @@ class TestFirstKRamanujan:
             bound = certified_bound(k)
             prime = first_k_ramanujan(k).prime
             assert prime <= bound
-            assert brute_force_R(k, 1, 2 * bound) == prime, f"k = {k}"
+            assert critical_point_R(k, 1, 2 * bound) == prime, f"k = {k}"
 
 
 class TestBruteForce:
@@ -243,6 +232,29 @@ class TestBruteForce:
     def test_bad_n(self):
         with pytest.raises(DomainError):
             brute_force_R(Fraction(2), 0, 1000)
+
+
+def _outcome(f, *args):
+    """f's value, or the type and message of the package error it raises."""
+    try:
+        return f(*args)
+    except (DomainError, InconclusiveError, RangeError) as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    t=st.floats(min_value=math.log(1e-5), max_value=math.log(10)),
+    n=st.one_of(st.integers(1, 20), st.integers(1, 3000)),
+    scan_limit=st.integers(4, 2_000_000),
+)
+def test_brute_force_matches_the_critical_point_scan(store_10m, t, n, scan_limit):
+    # both read a cached store past scan_limit, as after a larger query
+    k = 1 + Fraction(math.exp(t))
+    with mock.patch.object(core, "_shared", store_10m):
+        assert _outcome(brute_force_R, k, n, scan_limit) == _outcome(
+            critical_point_R, k, n, scan_limit
+        )
 
 
 class TestCharacterization:
@@ -285,10 +297,20 @@ class TestBreakpoints:
     def test_strictness_at_k_min(self, store_60k):
         assert breakpoints(Fraction(5, 3), 5950, store_60k) == []
         assert breakpoints(Fraction(10**400), 5950, store_60k) == []  # > 1e308
+        assert breakpoints(Fraction(10**400), 5950, store_60k, 3) == []
 
     def test_range_error(self, store_60k):
         with pytest.raises(RangeError):
             breakpoints(Fraction(2), store_60k.count + 1, store_60k)
+        with pytest.raises(RangeError):
+            breakpoints(Fraction(2), 3, store_60k, 3)  # no ratio p_a/p_{a-3}
+
+    def test_stride_two_first_ratio(self, store_60k):
+        # p_3/p_1 = 5/2 is past 2, which bounds every gap ratio (Bertrand)
+        top = BreakpointEntry(3, 5, 2, Fraction(5, 2))
+        assert breakpoints(Fraction(2), 3, store_60k, 2) == [top]
+        assert breakpoints(Fraction(12, 5), 5950, store_60k, 2)[0] == top
+        assert breakpoints(Fraction(5, 2), 5950, store_60k, 2) == []
 
     def test_float_cut_at_the_last_row(self, store_60k):
         # k rounds to the same float as the 44th row's ratio 58889/58831,
@@ -302,12 +324,15 @@ class TestBreakpoints:
 
 @pytest.mark.parametrize("chunk", [1, 2, 7, 1000])
 def test_breakpoints_independent_of_ratio_chunk(chunk, store_60k, monkeypatch):
-    # chunk seams fall between a record and the later ratios it must beat
+    # chunk seams fall between a record and the later ratios it must beat,
+    # and inside the n primes that consecutive chunks share for stride n
     monkeypatch.setattr(core, "_RATIO_CHUNK", chunk)
-    for k_min in (Fraction(1), PAPER_K, Fraction(3, 2), Fraction(5, 3), Fraction(2)):
-        for index_limit in (2, 3, 1001, 5950, store_60k.count):
-            want = reference_breakpoints(k_min, index_limit, store_60k)
-            assert breakpoints(k_min, index_limit, store_60k) == want
+    for n in (1, 2, 3, 9):
+        k_mins = (1, PAPER_K, Fraction(3, 2), Fraction(5, 3), 2, Fraction(5, 2), n)
+        for k_min in map(Fraction, k_mins):
+            for index_limit in (n + 1, n + 2, 1001, 5950, store_60k.count):
+                want = reference_breakpoints(k_min, index_limit, store_60k, n)
+                assert breakpoints(k_min, index_limit, store_60k, n) == want
 
 
 def test_breakpoints_peak_is_a_fraction_of_the_store(store_21m):
@@ -341,6 +366,23 @@ def test_breakpoints_match_reference(store_10m, data):
     index_limit = data.draw(st.integers(min_value=2, max_value=store_10m.count))
     assert breakpoints(k_min, index_limit, store_10m) == reference_breakpoints(
         k_min, index_limit, store_10m
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_stride_breakpoints_match_reference(store_60k, data):
+    n = data.draw(st.sampled_from([1, 2, 3, 9]))
+    index_limit = data.draw(st.integers(min_value=n + 1, max_value=store_60k.count))
+    a = data.draw(st.integers(min_value=n + 1, max_value=index_limit))
+    ratio = Fraction(store_60k.nth_prime(a), store_60k.nth_prime(a - n))
+    # a stride-n ratio, just below it, or any value up to past the largest
+    k_min = data.draw(
+        st.sampled_from([ratio, ratio - Fraction(1, 10**18)])
+        | st.fractions(min_value=1, max_value=30, max_denominator=10**6)
+    )
+    assert breakpoints(k_min, index_limit, store_60k, n) == reference_breakpoints(
+        k_min, index_limit, store_60k, n
     )
 
 

@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 from kramanujan import (
     BUILTIN_THEOREMS,
     breakpoints,
-    brute_force_R,
     certified_bound,
     cor_bound,
     first_k_ramanujan,
 )
 from kramanujan import cli, core
 from kramanujan.core import shared_store
+
+from reference import critical_point_R
 
 # certified bound for every k >= 1.0008968291 (the paper's horizon)
 FAST_BOUND = 58890
@@ -35,7 +36,7 @@ ks = st.fractions(
 def test_oracle_equivalence(k):
     answer = first_k_ramanujan(k)
     prime, index = answer.prime, answer.index
-    assert brute_force_R(k, 1, 2 * FAST_BOUND) == prime
+    assert critical_point_R(k, 1, 2 * FAST_BOUND) == prime
     store = shared_store(2 * FAST_BOUND)
     assert store.nth_prime(index) == prime
 
