@@ -13,9 +13,10 @@ the floor and every later ratio up to the horizon.  Two facts give the rows:
    horizon, a ratio exceeds the floor only where p_(a-1) < G/(floor - 1),
    and every ratio past that point is at most the floor.
 2. So the rows are breakpoints(floor) on the primes up to
-   G/(floor - 1) + G.  One pass over the sieve segments finds G: 292,
-   after 1,453,168,141, below 2*10^9 (Oliveira e Silva, Herzog and Pardi,
-   Math. Comp. 83, 2014), so the prefix ends at 29,200,292.
+   G/(floor - 1) + G.  One pass over the sieve segments finds G, as each
+   mask also holds the prime before its segment: 292, after 1,453,168,141,
+   below 2*10^9 (Oliveira e Silva, Herzog and Pardi, Math. Comp. 83, 2014),
+   so the prefix ends at 29,200,292.
 """
 
 from __future__ import annotations
@@ -35,11 +36,10 @@ FLOOR = Fraction(100001, 100000)
 
 def records(floor: Fraction, horizon: int) -> list[tuple[int, int, int]]:
     """Rows (a, p_a, p_(a-1)) in index order, for floor > 1."""
-    gap, last = 0, 2  # the largest gap so far, and the last prime
+    gap = 0  # the largest gap so far
     for part in segments(horizon):
-        found = segment_primes(part(), part.args[0])
-        primes = np.append(last, found)  # the seam's gap too
-        gap, last = max(gap, int(np.diff(primes).max(initial=0))), int(primes[-1])
+        primes = segment_primes(part(), part.args[0])
+        gap = max(gap, int(np.diff(primes).max(initial=0)))
     num, den = floor.numerator, floor.denominator
     store = sieve_upto(min(horizon, gap * den // (num - den) + gap))
     rows = breakpoints(floor, store.count, store)

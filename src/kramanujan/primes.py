@@ -11,6 +11,10 @@ from .errors import DomainError, RangeError, ResourceLimitError
 # Hard cap on sieve limits; keeps the prime table well under a few GiB.
 DEFAULT_SIEVE_BUDGET = 2_000_000_000
 
+# No prime gap below the budget exceeds 292 (Oliveira e Silva, Herzog and Pardi,
+# Math. Comp. 83, 2014), so a mask starting this far below its segment holds a prime.
+MAX_GAP = 292
+
 # Odd integers per segment.  The 1 MiB mask stays in a 2 MiB L2 cache
 # (sieving to 1e8 takes 0.31 s at 2^19, 0.28 s at 2^20, 0.33 s at 2^21 and
 # 0.38 s at 2^22).  Semantically invisible: results are identical for any
@@ -78,9 +82,9 @@ def sieve_upto(limit: int) -> PrimeStore:
 
 def segments(limit: int) -> list[partial]:
     """One zero-argument sieve per segment [low, high) of [3, limit], in order,
-    each returning its odd mask (entry i: whether low + 2i is prime) and taking
-    low and high as its first two arguments; the only range and budget check of
-    a sieve."""
+    each taking start = max(3, low - MAX_GAP), low and high as its first three
+    arguments and returning the odd mask of [start, high) (entry i: whether
+    start + 2i is prime); the only range and budget check of a sieve."""
     if limit < 0:
         raise RangeError("sieve limit must be non-negative")
     if limit > DEFAULT_SIEVE_BUDGET:
@@ -96,32 +100,36 @@ def segments(limit: int) -> list[partial]:
         wheel[p // 2 :: p] = False
     span = 2 * _SEGMENT_ODDS
     return [
-        partial(_segment, low, min(low + span, limit + 1), odd_base, wheel)
+        partial(_segment, max(3, low - MAX_GAP), low, min(low + span, limit + 1),
+                odd_base, wheel)
         for low in range(3, limit + 1, span)
     ]
 
 
-def segment_primes(mask: np.ndarray, low: int) -> np.ndarray:
-    """The primes low + 2i of a segment's odd mask."""
+def segment_primes(mask: np.ndarray, start: int) -> np.ndarray:
+    """The primes start + 2i of an odd mask from start."""
     found = mask.nonzero()[0]
     found *= 2  # in place: one temporary per segment
-    found += low
+    found += start
     return found
 
 
 def _segment(
-    low: int, high: int, odd_base: np.ndarray, wheel: np.ndarray
+    start: int, low: int, high: int, odd_base: np.ndarray, wheel: np.ndarray
 ) -> np.ndarray:
-    """Odd mask of [low, high) for odd low: the wheel (entry j: 2j + 1 is prime to
-    15015) tiled from low, its primes restored, the base primes above 13 struck."""
+    """Odd mask of [start, high) for odd start <= low: the wheel (entry j: 2j + 1 is
+    prime to 15015) tiled from start, its primes restored, the base primes above
+    13 struck.  Raises if [start, low) is not empty but holds no prime."""
     import numpy as np
-    mask = np.resize(np.roll(wheel, -(low // 2)), (high - low + 1) // 2)
-    mask[[(p - low) // 2 for p in _WHEEL if low <= p < high]] = True
+    mask = np.resize(np.roll(wheel, -(start // 2)), (high - start + 1) // 2)
+    mask[[(p - start) // 2 for p in _WHEEL if start <= p < high]] = True
     base = odd_base[len(_WHEEL) :]  # odd_base starts 3, 5, 7, 11, 13 when it has them
-    start = np.maximum(base * base, -(-low // base) * base)
-    start += base * (start % 2 == 0)  # first odd multiple
-    for p, i in zip(base.tolist(), ((start - low) // 2).tolist()):
+    first = np.maximum(base * base, -(-start // base) * base)
+    first += base * (first % 2 == 0)  # first odd multiple
+    for p, i in zip(base.tolist(), ((first - start) // 2).tolist()):
         mask[i::p] = False  # a start past the segment strikes nothing
+    if start < low and not mask[: (low - start) // 2].any():
+        raise RuntimeError(f"no prime in [{start}, {low}): a gap past MAX_GAP")
     return mask
 
 
@@ -137,6 +145,7 @@ def _sieve(limit: int) -> np.ndarray:
     count = 1
     for part in parts:
         found = segment_primes(part(), part.args[0])
+        found = found[found.searchsorted(part.args[1]) :]  # from low on
         out[count : count + len(found)] = found
         count += len(found)
     return out[:count]  # a view: the unwritten tail is never paged in

@@ -1,10 +1,12 @@
 """Empirical verification of short-interval prime theorems over prime ranges.
 
-A scan slice whose largest gap is at most GapTheorem.gap_floor on it is
-certified with no float for every real x in it.  So is, by the gate, a segment
-above lo whose gap_floor is at least 4 * _GATE_BLOCK - 2 and in which every
-full block of _GATE_BLOCK odds holds a prime: no gap there is longer (from the
-start of one block to the end of the next), and its primes are never extracted.
+Each segment owns the pairs (p, q) whose q it holds; its mask, from MAX_GAP
+below it, holds p too.  A scan slice whose largest gap is at most
+GapTheorem.gap_floor on it is certified with no float for every real x in it.
+So is, by the gate, a segment above lo whose gap_floor from its mask's start
+is at least 4 * _GATE_BLOCK - 2 and in whose mask every full block of
+_GATE_BLOCK odds holds a prime: no gap there is longer (from the start of one
+block to the end of the next), and its primes are never extracted.
 Other slices go to a float64 prescreen whose guard leaves the doubtful gaps to
 exact checks; one check per gap (p, q), at x = p or at x = lo inside it, covers
 every real x where log x >= e, as x(1 + c/log^e x) has slope
@@ -85,25 +87,22 @@ def _prescreen(thm: GapTheorem, p: np.ndarray, q: np.ndarray, lo: int) -> list:
     return list(zip(p[fails].tolist(), q[fails].tolist(), thr[fails].tolist()))
 
 
-def _scan_segment(thm: GapTheorem, segment, lo: int) -> tuple:
-    """Sieve one segment and scan its pairs (p, q) with q > lo in slices: its
-    first and last primes (lists, empty without a prime), pairs, violations."""
+def _scan_segment(thm: GapTheorem, segment, lo: int) -> tuple[int, list]:
+    """Sieve one segment and scan, in slices, the pairs (p, q) whose q it holds,
+    with q > lo: the number of pairs and the violations."""
     import numpy as np
-    mask, low, high = segment(), *segment.args[:2]
-    if low >= lo and thm.gap_floor(low, high) >= 4 * _GATE_BLOCK - 2:
+    mask, (start, low, high) = segment(), segment.args[:3]
+    if low > lo and thm.gap_floor(start, high) >= 4 * _GATE_BLOCK - 2:
         full = len(mask) // _GATE_BLOCK * _GATE_BLOCK
         if full and mask[:full].reshape(-1, _GATE_BLOCK).any(1).all():  # the gate
-            first = int(mask[:_GATE_BLOCK].argmax())
-            last = len(mask) - 1 - int(mask[full - _GATE_BLOCK :][::-1].argmax())
-            pairs = int(np.count_nonzero(mask)) - 1
-            return [low + 2 * first], [low + 2 * last], pairs, []
-    primes = segment_primes(mask, low)
-    a = int(primes[1:].searchsorted(lo, side="right"))
-    p, q, step = primes[a:-1], primes[a + 1 :], _SCAN_PAIRS
+            return int(np.count_nonzero(mask[(low - start) // 2 :])), []
+    primes = segment_primes(mask, start)
+    a = int(primes.searchsorted(max(lo, low - 1), side="right"))
+    p, q, step = primes[a - 1 : -1], primes[a:], _SCAN_PAIRS
     found = []
     for s in range(0, len(p), step):
         found += _scan_chunk(thm, p[s : s + step], q[s : s + step], lo)
-    return primes[:1].tolist(), primes[-1:].tolist(), len(p), found
+    return len(p), found
 
 
 def verify_theorem(
@@ -116,8 +115,6 @@ def verify_theorem(
     Zero violations certifies the statement empirically for all real x from lo
     to the last pair's start, when log lo >= e or each slice met its gap_floor.
     """
-    import numpy as np
-
     if lo < max(thm.x0, 3):
         raise DomainError(
             f"scan start {lo} is below {max(thm.x0, 3)}, the larger of the "
@@ -127,20 +124,12 @@ def verify_theorem(
         raise RangeError(f"empty verification range [{lo}, {hi}]")
     start = time.perf_counter()
     parts = segments(hi)
-    # from the segment holding lo, after the last prime below it (for the seam)
-    t = bisect_right(parts, lo, key=lambda seg: seg.args[0]) - 1
-    below = (_scan_segment(thm, s, lo)[1] for s in reversed(parts[:t]))
-    last = next(filter(None, below), [])
+    t = bisect_right(parts, lo, key=lambda seg: seg.args[1]) - 1  # it holds lo
     pairs, violations = 0, []
     with _pool(jobs if len(parts) - t >= _POOL_SEGMENTS else 1) as pool:
-        scans = pool.map(_scan_segment, repeat(thm), parts[t:], repeat(lo))
-        for first, end, count, found in scans:
-            if last and first and first[0] > lo:  # the seam pair, in order
-                violations += _scan_chunk(thm, np.array(last), np.array(first), lo)
-                pairs += 1
+        for count, found in pool.map(_scan_segment, repeat(thm), parts[t:], repeat(lo)):
             pairs += count
             violations += found
-            last = end or last  # a segment without a prime carries it over
     elapsed = time.perf_counter() - start
     return VerificationReport(thm, lo, hi, pairs, violations, elapsed)
 

@@ -1,9 +1,6 @@
 import importlib.util
 import math
-import os
 import random
-import subprocess
-import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -19,6 +16,7 @@ from kramanujan import (
     TRUDGIAN,
     BreakpointEntry,
     DomainError,
+    GapTheorem,
     InconclusiveError,
     RangeError,
     ResourceLimitError,
@@ -31,10 +29,11 @@ from kramanujan import (
     first_k_ramanujan,
     parse_rational,
     sieve_upto,
+    verify_theorem,
 )
 from kramanujan import primes as primes_mod
 from kramanujan.core import k_equals_gap_ratio, shared_store
-from kramanujan.primes import DEFAULT_SIEVE_BUDGET
+from kramanujan.primes import DEFAULT_SIEVE_BUDGET, MAX_GAP
 
 from reference import critical_point_R, reference_breakpoints
 
@@ -420,6 +419,16 @@ def test_answer_flag_agrees_with_the_store(store_60k, k):
     assert first_k_ramanujan(k).k_equals_gap_ratio == store_gap_ratio(k, store_60k)
 
 
+def _records_script():
+    """scripts/records.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "records", REPO / "scripts" / "records.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 class TestRecordTable:
     """records.csv, the table first_k_ramanujan reads, and its header."""
 
@@ -463,18 +472,15 @@ class TestRecordTable:
             (Fraction(1001, 1000), 10**6, None, 114 * 1000 + 114, 43),
             (Fraction(100001, 100000), 10**6, None, 10**6, 74),  # the horizon
             (Fraction(11, 10), 10**6, None, 114 * 10 + 114, 7),
-            # segments 60 wide: the largest gap to 10^5, 72 after 31397, is a seam's
+            # segments 60 wide: the largest gap to 10^5, 72 after 31397, spans a
+            # seam, and the mask of the segment holding 31469 reaches below it
             (Fraction(1001, 1000), 10**5, 30, 72 * 1000 + 72, 43),
         ],
     )
     def test_generator_at_a_small_horizon(
         self, monkeypatch, floor, horizon, odds, prefix, count
     ):
-        spec = importlib.util.spec_from_file_location(
-            "records", REPO / "scripts" / "records.py"
-        )
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
+        script = _records_script()
         store = sieve_upto(horizon)
         expected = breakpoints(floor, store.count, store)
         limits = []
@@ -488,16 +494,32 @@ class TestRecordTable:
         assert limits == [prefix] and len(rows) == count
 
     @pytest.mark.slow
-    def test_regenerated_table_is_the_committed_file(self):
-        proc = subprocess.run(
-            [sys.executable, "scripts/records.py"],
-            cwd=REPO,
-            env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
-            capture_output=True,
-            timeout=600,
+    def test_regenerated_table_is_the_committed_file(self, monkeypatch, capsys):
+        # the one pass to 2*10^9 measures the largest gap as MAX_GAP, so the
+        # prefix is MAX_GAP/(floor - 1) + MAX_GAP
+        script = _records_script()
+        limits = []
+        monkeypatch.setattr(
+            script, "sieve_upto", lambda n: limits.append(n) or sieve_upto(n)
         )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == RECORDS.read_bytes()
+        assert script.main() == 0
+        assert capsys.readouterr().out.encode() == RECORDS.read_bytes()
+        assert limits == [MAX_GAP * 10**5 + MAX_GAP] == [29_200_292]
+
+
+def test_a_gap_past_max_gap_raises(monkeypatch):
+    # with MAX_GAP = 2 the mask of the segment [35, 51) starts at 33, and
+    # [33, 35) holds no prime: each scan of it raises instead of miscounting
+    monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", 8)
+    monkeypatch.setattr(primes_mod, "MAX_GAP", 2)
+    script = _records_script()
+    for scan in (
+        lambda: sieve_upto(100),
+        lambda: verify_theorem(GapTheorem("custom", 3, Fraction(1), 1), 3, 100),
+        lambda: script.records(Fraction(11, 10), 100),
+    ):
+        with pytest.raises(RuntimeError, match=r"no prime in \[33, 35\)"):
+            scan()
 
 
 # the bound does not increase with k, so every k >= K_LOW has a certified

@@ -215,6 +215,7 @@ def _assert_streams_like_stored_table(thm, lo, hi, jobs):
     report = verify_theorem(thm, lo, hi, jobs=jobs)
     assert report.violations == verify_mod._scan_chunk(thm, p, q, lo)
     assert report.pairs_checked == len(p)
+    return report
 
 
 @settings(max_examples=30, deadline=None)
@@ -242,8 +243,8 @@ def test_streaming_matches_stored_table(thm, odds, jobs, ends):
         pytest.param(1346, 1500, 56, id="lo-below-seam-1347"),
         # segments of one odd each: most hold no prime
         pytest.param(1000, 2000, 1, id="empty-segments"),
-        # the scan starts at the segment holding lo, after the last prime
-        # below it: 1328..1360 holds no prime, so 1340 reaches back to 1327
+        # the scan starts at the segment holding lo: 1328..1360 holds no
+        # prime, and the mask of 1361's segment reaches back to 1327
         pytest.param(1340, 1500, 1, id="lo-past-empty-segments"),
         pytest.param(1330, 1500, 8, id="lo-below-seam-1331"),
         pytest.param(1331, 1500, 8, id="lo-on-seam-1331"),
@@ -258,24 +259,26 @@ def test_streaming_edges(lo, hi, odds, jobs, monkeypatch):
 
 
 def test_segments_below_lo_are_not_sieved(monkeypatch):
-    # [1331, 1347) holds no prime, so 1327 comes from [1315, 1331)
+    # lo = 1348 lies in [1347, 1363), whose mask holds 1327 before 1361
     monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", 8)
     lows, segment = [], primes_mod._segment
 
-    def spy(low, *rest):
+    def spy(start, low, *rest):
         lows.append(low)
-        return segment(low, *rest)
+        return segment(start, low, *rest)
 
     monkeypatch.setattr(primes_mod, "_segment", spy)
-    verify_theorem(EVERY_GAP_FAILS, 1348, 2000)
+    report = verify_theorem(EVERY_GAP_FAILS, 1348, 2000)
+    assert report.violations[0][:2] == (1327, 1361)
     # the base primes, up to isqrt(2000) = 44, are sieved in segments of their own
-    assert sorted(low for low in lows if low > 44) == list(range(1315, 2000, 16))
+    assert sorted(low for low in lows if low > 44) == list(range(1347, 2000, 16))
 
 
 @pytest.mark.parametrize("jobs", [1, 3])
 def test_streaming_empty_last_segment(jobs, monkeypatch):
     monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", 56)
-    assert not primes_mod.segments(1359)[-1]().any()  # [1347, 1359]
+    last = primes_mod.segments(1359)[-1]  # [1347, 1359]
+    assert primes_mod.segment_primes(last(), last.args[0]).max() < 1347
     for thm in MIXED:
         _assert_streams_like_stored_table(thm, 100, 1359, jobs)
 
@@ -331,16 +334,46 @@ def test_gate_passes_segments(monkeypatch):
 
 @pytest.mark.parametrize("block", [8, 16])
 def test_gate_returns_what_extraction_returns(block, monkeypatch):
-    # ends and pair counts: lo = 1000 lies inside [899, 1011), and the last
-    # segment, [1347, 1359], is shorter than a block and holds no prime; with
-    # blocks of 16 odds the gate passes most others
+    # pairs and violations: lo = 1000 lies inside [899, 1011), and the last
+    # segment, [1347, 1359], is shorter than a block and holds no prime; the
+    # gate passes one mask of blocks of 16 odds, and none of blocks of 8
     monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", 56)
-    monkeypatch.setattr(verify_mod, "_GATE_BLOCK", block)
-    for seg in primes_mod.segments(1359):
-        primes = primes_mod.segment_primes(seg(), seg.args[0]).tolist()
-        pairs = len([q for q in primes[1:] if q > 1000])
-        want = (primes[:1], primes[-1:], pairs)
-        assert verify_mod._scan_segment(GATED, seg, 1000)[:3] == want
+    extracted = []
+
+    def spy(mask, start):
+        extracted.append(start)
+        return primes_mod.segment_primes(mask, start)
+
+    monkeypatch.setattr(verify_mod, "segment_primes", spy)
+    parts = primes_mod.segments(1359)
+
+    def scans(block):
+        monkeypatch.setattr(verify_mod, "_GATE_BLOCK", block)
+        return [verify_mod._scan_segment(GATED, seg, 1000) for seg in parts]
+
+    want = scans(10**6)  # a floor short of four blocks: every segment extracted
+    assert len(extracted) == len(parts)
+    assert scans(block) == want
+    assert len(extracted) == 2 * len(parts) - {8: 0, 16: 1}[block]
+
+
+@pytest.mark.parametrize("lo", [2_097_100, 2_097_150, 2_097_160])
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_seam_pair_at_production_size(lo, jobs):
+    # the first seam, 3 + 2^21 = 2,097,155, lies inside the gap 2097143 -> 2097169
+    assert primes_mod.segments(2_097_200)[1].args[1] == 2_097_155
+    report = _assert_streams_like_stored_table(EVERY_GAP_FAILS, lo, 2_097_200, jobs)
+    pairs = [(p, q) for p, q, _ in report.violations]
+    assert pairs.count((2_097_143, 2_097_169)) == 1
+
+
+def test_gate_leaves_the_segment_starting_at_lo(monkeypatch):
+    # every block of 16 odds of the mask of [1459, 1571) holds a prime, but
+    # lo = 1459 is prime too, and no pair ends at lo
+    monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", 56)
+    monkeypatch.setattr(verify_mod, "_GATE_BLOCK", 16)
+    assert 1459 in [seg.args[1] for seg in primes_mod.segments(2000)]
+    _assert_streams_like_stored_table(GATED, 1459, 2000, 1)
 
 
 def test_gate_needs_a_floor_of_four_blocks(monkeypatch):
