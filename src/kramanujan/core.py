@@ -121,18 +121,19 @@ def records_above(k: Fraction) -> tuple[int, list[BreakpointEntry]]:
     the rows are breakpoints(k, N) for every N >= the last row's index (or 1).
     """
     bound = certified_bound(k)
-    horizon, rows = _records()
-    if bound > horizon:
+    header, rows = _table("records.csv")
+    if bound > (horizon := int(header.split()[-1])):
         raise ResourceLimitError(f"certified bound {bound} exceeds budget {horizon}")
     num, den = k.numerator, k.denominator
     above = [(a, p, q) for a, p, q in rows if p * den > num * q]
     return bound, [BreakpointEntry(a, p, q, Fraction(p, q)) for a, p, q in above]
 
 
-def _records() -> tuple[int, list[tuple[int, ...]]]:
-    """The horizon and rows (a, p_a, p_{a-1}) of records.csv (scripts/records.py)."""
-    with open(os.path.join(os.path.dirname(__file__), "records.csv")) as f:
-        return int(f.readline().split()[-1]), [tuple(map(int, r.split(","))) for r in f]
+def _table(name: str) -> tuple[str, list[tuple[int, ...]]]:
+    """The header line and integer rows of a committed table that
+    scripts/records.py writes: records.csv or segments.csv."""
+    with open(os.path.join(os.path.dirname(__file__), name)) as f:
+        return f.readline(), [tuple(map(int, r.split(","))) for r in f]
 
 
 def brute_force_R(k: Fraction, n: int, scan_limit: int) -> int:

@@ -3,14 +3,12 @@
 Each segment owns the pairs (p, q) whose q it holds; its mask, from MAX_GAP
 below it, holds p too.  A scan slice whose largest gap is at most
 GapTheorem.gap_floor on it is certified with no float for every real x in it.
-So is, by the gate, a segment above lo whose gap_floor from its mask's start
-is at least 4 * _GATE_BLOCK - 2 and in whose mask every full block of
-_GATE_BLOCK odds holds a prime: no gap there is longer (from the start of one
-block to the end of the next), and its primes are never extracted.
-Other slices go to a float64 prescreen whose guard leaves the doubtful gaps to
-exact checks; one check per gap (p, q), at x = p or at x = lo inside it, covers
-every real x where log x >= e, as x(1 + c/log^e x) has slope
-1 + c(log x - e)/log^(e+1) x >= 1.
+So is, unsieved, a segment above lo whose row (low, high) of the committed
+segments.csv has its largest gap within gap_floor from the mask's start: a
+result rests on that table as compute's rests on records.csv.  Other slices go
+to a float64 prescreen whose guard leaves the doubtful gaps to exact checks;
+one check per gap (p, q), at x = p or at x = lo inside it, covers every real x
+where log x >= e, as x(1 + c/log^e x) has slope 1 + c(log x - e)/log^(e+1) x >= 1.
 """
 
 from __future__ import annotations
@@ -24,6 +22,7 @@ from contextlib import nullcontext
 from itertools import repeat
 from typing import NamedTuple
 
+from .core import _table
 from .errors import DomainError, RangeError
 from .primes import segment_primes, segments
 from .theorems import GapTheorem
@@ -38,9 +37,6 @@ PRESCREEN_GUARD = 1e-9
 # slice raised a verify's peak RSS by 8-9 %).  Semantically invisible: reports
 # are identical for any positive value (tested).
 _SCAN_PAIRS = 1 << 16
-
-# Odds per block of the segment gate.  Semantically invisible (tested).
-_GATE_BLOCK = 128
 
 # Segments from which jobs >= 2 scan in processes: a pool costs a CLI call about
 # 40 ms to import, fork and join, and two workers save about 1.4 ms a segment.
@@ -90,14 +86,8 @@ def _prescreen(thm: GapTheorem, p: np.ndarray, q: np.ndarray, lo: int) -> list:
 def _scan_segment(thm: GapTheorem, segment, lo: int) -> tuple[int, list]:
     """Sieve one segment and scan, in slices, the pairs (p, q) whose q it holds,
     with q > lo: the number of pairs and the violations."""
-    import numpy as np
-    mask, (start, low, high) = segment(), segment.args[:3]
-    if low > lo and thm.gap_floor(start, high) >= 4 * _GATE_BLOCK - 2:
-        full = len(mask) // _GATE_BLOCK * _GATE_BLOCK
-        if full and mask[:full].reshape(-1, _GATE_BLOCK).any(1).all():  # the gate
-            return int(np.count_nonzero(mask[(low - start) // 2 :])), []
-    primes = segment_primes(mask, start)
-    a = int(primes.searchsorted(max(lo, low - 1), side="right"))
+    primes = segment_primes(segment(), segment.args[0])
+    a = int(primes.searchsorted(max(lo, segment.args[1] - 1), side="right"))
     p, q, step = primes[a - 1 : -1], primes[a:], _SCAN_PAIRS
     found = []
     for s in range(0, len(p), step):
@@ -109,8 +99,8 @@ def verify_theorem(
     thm: GapTheorem, lo: int, hi: int, jobs: int = 1
 ) -> VerificationReport:
     """Check the pi(hi) - pi(lo) pairs of consecutive primes (p, q) with
-    lo < q <= hi; with ``jobs`` >= 2 and _POOL_SEGMENTS segments or more,
-    that many forked processes sieve and scan one segment each.
+    lo < q <= hi, each segment by its row or else by a sieve, run in ``jobs``
+    forked processes when jobs >= 2 and _POOL_SEGMENTS or more are sieved.
 
     Zero violations certifies the statement empirically for all real x from lo
     to the last pair's start, when log lo >= e or each slice met its gap_floor.
@@ -122,15 +112,23 @@ def verify_theorem(
         )
     if lo > hi:
         raise RangeError(f"empty verification range [{lo}, {hi}]")
-    start = time.perf_counter()
+    began = time.perf_counter()
     parts = segments(hi)
     t = bisect_right(parts, lo, key=lambda seg: seg.args[1]) - 1  # it holds lo
-    pairs, violations = 0, []
-    with _pool(jobs if len(parts) - t >= _POOL_SEGMENTS else 1) as pool:
-        for count, found in pool.map(_scan_segment, repeat(thm), parts[t:], repeat(lo)):
+    rows = {r[:2]: r[2:4] for r in _table("segments.csv")[1]}  # (low, high): n, gap
+    pairs, violations, sieve = 0, [], []
+    for seg in parts[t:]:
+        start, low, high = seg.args[:3]
+        row = rows.get((low, high))
+        if row and low > lo and row[1] <= thm.gap_floor(start, high):
+            pairs += row[0]
+        else:
+            sieve.append(seg)
+    with _pool(jobs if len(sieve) >= _POOL_SEGMENTS else 1) as pool:
+        for count, found in pool.map(_scan_segment, repeat(thm), sieve, repeat(lo)):
             pairs += count
             violations += found
-    elapsed = time.perf_counter() - start
+    elapsed = time.perf_counter() - began
     return VerificationReport(thm, lo, hi, pairs, violations, elapsed)
 
 

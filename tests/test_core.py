@@ -1,4 +1,3 @@
-import importlib.util
 import math
 import random
 import tracemalloc
@@ -37,7 +36,6 @@ from kramanujan.primes import DEFAULT_SIEVE_BUDGET, MAX_GAP
 
 from reference import critical_point_R, reference_breakpoints
 
-REPO = Path(__file__).resolve().parents[1]
 RECORDS = Path(core.__file__).with_name("records.csv")
 PAPER_K = Fraction("1.0008968291")
 
@@ -419,16 +417,6 @@ def test_answer_flag_agrees_with_the_store(store_60k, k):
     assert first_k_ramanujan(k).k_equals_gap_ratio == store_gap_ratio(k, store_60k)
 
 
-def _records_script():
-    """scripts/records.py, loaded as a module."""
-    spec = importlib.util.spec_from_file_location(
-        "records", REPO / "scripts" / "records.py"
-    )
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
-
-
 class TestRecordTable:
     """records.csv, the table first_k_ramanujan reads, and its header."""
 
@@ -439,21 +427,22 @@ class TestRecordTable:
         assert header.split() == [
             "floor", "100001/100000", "horizon", str(DEFAULT_SIEVE_BUDGET)
         ]
-        assert core._records()[0] == DEFAULT_SIEVE_BUDGET
+        assert core._table("records.csv")[0] == header + "\n"
 
     def test_rows_are_the_records_above_the_floor(self):
         # the largest gap below 2*10^9 is 292 (Oliveira e Silva, Herzog and
         # Pardi 2014), so no ratio past p_(a-1) = 292 * 10^5 exceeds the floor
         store = sieve_upto(29_200_292)
         rows = breakpoints(self.FLOOR, store.count, store)
-        assert core._records()[1] == [(r.index, r.prime, r.prev_prime) for r in rows]
+        want = [(r.index, r.prime, r.prev_prime) for r in rows]
+        assert core._table("records.csv")[1] == want
         assert len(rows) == 92
         assert rows[-1].prime == 20831533
 
     def test_paper_rows(self, store_60k):
         above = [
             (a, p, q)
-            for a, p, q in core._records()[1]
+            for a, p, q in core._table("records.csv")[1]
             if p * PAPER_K.denominator > PAPER_K.numerator * q
         ]
         paper = breakpoints(PAPER_K, 5950, store_60k)
@@ -478,45 +467,47 @@ class TestRecordTable:
         ],
     )
     def test_generator_at_a_small_horizon(
-        self, monkeypatch, floor, horizon, odds, prefix, count
+        self, records_script, monkeypatch, floor, horizon, odds, prefix, count
     ):
-        script = _records_script()
         store = sieve_upto(horizon)
         expected = breakpoints(floor, store.count, store)
         limits = []
         monkeypatch.setattr(
-            script, "sieve_upto", lambda n: limits.append(n) or sieve_upto(n)
+            records_script, "sieve_upto", lambda n: limits.append(n) or sieve_upto(n)
         )
         if odds:
             monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", odds)
-        rows = script.records(floor, horizon)
+        gap = max(row[3] for row in records_script.segment_rows(horizon))
+        rows = records_script.records(floor, horizon, gap)
         assert rows == [(r.index, r.prime, r.prev_prime) for r in expected]
         assert limits == [prefix] and len(rows) == count
 
     @pytest.mark.slow
-    def test_regenerated_table_is_the_committed_file(self, monkeypatch, capsys):
-        # the one pass to 2*10^9 measures the largest gap as MAX_GAP, so the
-        # prefix is MAX_GAP/(floor - 1) + MAX_GAP
-        script = _records_script()
+    def test_regenerated_table_is_the_committed_file(
+        self, records_script, monkeypatch, tmp_path
+    ):
+        # one pass to 2*10^9 writes segments.csv, whose largest gap is
+        # MAX_GAP, so the prefix of records.csv is MAX_GAP/(floor - 1) + MAX_GAP
         limits = []
         monkeypatch.setattr(
-            script, "sieve_upto", lambda n: limits.append(n) or sieve_upto(n)
+            records_script, "sieve_upto", lambda n: limits.append(n) or sieve_upto(n)
         )
-        assert script.main() == 0
-        assert capsys.readouterr().out.encode() == RECORDS.read_bytes()
+        assert records_script.main([str(tmp_path)]) == 0
+        for name in ("records.csv", "segments.csv"):
+            committed = RECORDS.with_name(name).read_bytes()
+            assert (tmp_path / name).read_bytes() == committed
         assert limits == [MAX_GAP * 10**5 + MAX_GAP] == [29_200_292]
 
 
-def test_a_gap_past_max_gap_raises(monkeypatch):
+def test_a_gap_past_max_gap_raises(records_script, monkeypatch):
     # with MAX_GAP = 2 the mask of the segment [35, 51) starts at 33, and
     # [33, 35) holds no prime: each scan of it raises instead of miscounting
     monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", 8)
     monkeypatch.setattr(primes_mod, "MAX_GAP", 2)
-    script = _records_script()
     for scan in (
         lambda: sieve_upto(100),
         lambda: verify_theorem(GapTheorem("custom", 3, Fraction(1), 1), 3, 100),
-        lambda: script.records(Fraction(11, 10), 100),
+        lambda: records_script.segment_rows(100),
     ):
         with pytest.raises(RuntimeError, match=r"no prime in \[33, 35\)"):
             scan()
@@ -538,7 +529,7 @@ def _k_within_trudgian(data):
         n = data.draw(st.integers(min_value=2, max_value=store.prime_count(49_000)))
         return Fraction(store.nth_prime(n), store.nth_prime(n - 1))
     if way == "row":  # a record ratio, or next to it
-        ratios = [Fraction(p, q) for _, p, q in core._records()[1]]
+        ratios = [Fraction(p, q) for _, p, q in core._table("records.csv")[1]]
         r = data.draw(st.sampled_from([r for r in ratios if r > K_LOW + 1e-15]))
         return r + data.draw(st.sampled_from([0, 1, -1])) * Fraction(1, 10**15)
     return data.draw(st.fractions(min_value=2, max_value=10**6, max_denominator=10**6))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kramanujan.cli as cli
 import kramanujan.primes as primes_mod
 import kramanujan.verify as verify_mod
 from kramanujan import (
@@ -21,6 +22,7 @@ from kramanujan import (
     RangeError,
     ResourceLimitError,
     TRUDGIAN,
+    core,
     sieve_upto,
     verify_theorem,
 )
@@ -296,65 +298,60 @@ def test_streaming_memory_is_per_segment():
     assert peak < 16 * 2**20
 
 
-# fails on 8 gaps up to 113 -> 127, and above a few hundred its gap_floor lets
-# the gate pass a segment whose every block of 8 or 16 odds holds a prime
+# fails on 8 gaps up to 113 -> 127, and above a few hundred its gap_floor
+# exceeds every gap, so the gate passes each segment above lo by its row
 GATED = GapTheorem("custom", 3, Fraction(1, 2), 1)
+
+
+@pytest.fixture(scope="session")
+def small_tables(records_script):
+    """A stand-in for core._table: segments.csv as scripts/records.py writes it
+    to 30,000 at the patched segment size, so that the gate's rows match the
+    small segments of the tests below."""
+    tables = {}
+
+    def table(name):
+        assert name == "segments.csv"
+        odds = primes_mod._SEGMENT_ODDS
+        if odds not in tables:
+            tables[odds] = records_script.segment_rows(30_000)
+        return "", tables[odds]
+
+    return table
+
+
+def _sieved(monkeypatch):
+    """The low of each segment that verify_theorem sieves, at jobs 1."""
+    lows, scan = [], verify_mod._scan_segment
+    monkeypatch.setattr(
+        verify_mod, "_scan_segment",
+        lambda thm, seg, lo: lows.append(seg.args[1]) or scan(thm, seg, lo),
+    )
+    return lows
 
 
 @settings(max_examples=30, deadline=None)
 @given(
     thm=st.sampled_from([*MIXED, GATED]),
     odds=st.sampled_from([56, 200, 1000]),
-    block=st.sampled_from([4, 8, 16]),
     jobs=st.sampled_from([1, 2]),
     ends=st.lists(st.integers(3, 20_000), min_size=2, max_size=2),
 )
-def test_gate_matches_stored_table(thm, odds, block, jobs, ends):
+def test_gate_matches_stored_table(small_tables, thm, odds, jobs, ends):
     with mock.patch.object(primes_mod, "_SEGMENT_ODDS", odds):
-        with mock.patch.object(verify_mod, "_GATE_BLOCK", block):
+        with mock.patch.object(verify_mod, "_table", small_tables):
             _assert_streams_like_stored_table(thm, *sorted(ends), jobs)
 
 
-def test_gate_passes_segments(monkeypatch):
-    # a segment the gate passes never has its primes extracted
+def test_gate_passes_segments(small_tables, monkeypatch):
+    # a segment the gate passes by its row is never sieved: only the one
+    # holding lo = 1000 and the last, truncated at 20,001, are
     monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", 200)
-    monkeypatch.setattr(verify_mod, "_GATE_BLOCK", 16)
-    extracted = []
-
-    def spy(mask, low):
-        extracted.append(low)
-        return primes_mod.segment_primes(mask, low)
-
-    monkeypatch.setattr(verify_mod, "segment_primes", spy)
+    monkeypatch.setattr(verify_mod, "_table", small_tables)
+    sieved = _sieved(monkeypatch)
     _assert_streams_like_stored_table(GATED, 1000, 20_000, 1)
-    scanned = [s.args[0] for s in primes_mod.segments(20_000) if s.args[0] >= 1000]
-    gated = set(scanned) - set(extracted)
-    assert 10 < len(gated) < len(scanned)
-
-
-@pytest.mark.parametrize("block", [8, 16])
-def test_gate_returns_what_extraction_returns(block, monkeypatch):
-    # pairs and violations: lo = 1000 lies inside [899, 1011), and the last
-    # segment, [1347, 1359], is shorter than a block and holds no prime; the
-    # gate passes one mask of blocks of 16 odds, and none of blocks of 8
-    monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", 56)
-    extracted = []
-
-    def spy(mask, start):
-        extracted.append(start)
-        return primes_mod.segment_primes(mask, start)
-
-    monkeypatch.setattr(verify_mod, "segment_primes", spy)
-    parts = primes_mod.segments(1359)
-
-    def scans(block):
-        monkeypatch.setattr(verify_mod, "_GATE_BLOCK", block)
-        return [verify_mod._scan_segment(GATED, seg, 1000) for seg in parts]
-
-    want = scans(10**6)  # a floor short of four blocks: every segment extracted
-    assert len(extracted) == len(parts)
-    assert scans(block) == want
-    assert len(extracted) == 2 * len(parts) - {8: 0, 16: 1}[block]
+    lows = [s.args[1] for s in primes_mod.segments(20_000) if s.args[2] > 1000]
+    assert sieved == [lows[0], lows[-1]] and len(lows) > 40
 
 
 @pytest.mark.parametrize("lo", [2_097_100, 2_097_150, 2_097_160])
@@ -367,22 +364,26 @@ def test_seam_pair_at_production_size(lo, jobs):
     assert pairs.count((2_097_143, 2_097_169)) == 1
 
 
-def test_gate_leaves_the_segment_starting_at_lo(monkeypatch):
-    # every block of 16 odds of the mask of [1459, 1571) holds a prime, but
-    # lo = 1459 is prime too, and no pair ends at lo
+def test_gate_leaves_the_segment_starting_at_lo(small_tables, monkeypatch):
+    # the row of [1459, 1571) passes GATED, but lo = 1459 is prime too, and
+    # no pair ends at lo
     monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", 56)
-    monkeypatch.setattr(verify_mod, "_GATE_BLOCK", 16)
+    monkeypatch.setattr(verify_mod, "_table", small_tables)
     assert 1459 in [seg.args[1] for seg in primes_mod.segments(2000)]
     _assert_streams_like_stored_table(GATED, 1459, 2000, 1)
 
 
-def test_gate_needs_a_floor_of_four_blocks(monkeypatch):
-    # every block of 8 odds of [1123, 1235) holds a prime, and 1129 -> 1151
-    # breaks c = 3/25, e = 1, whose gap_floor there, 16, is short of 4 * 8 - 2
+def test_gate_needs_the_gap_within_the_floor(small_tables, monkeypatch):
+    # the row of [1123, 1235) holds 1129 -> 1151, which breaks c = 3/25, e = 1,
+    # whose gap_floor there, 12, is below its gap, 22, so the segment is
+    # sieved; so is [1011, 1123), whose floor, 10, is below 1069 -> 1087
     monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", 56)
-    monkeypatch.setattr(verify_mod, "_GATE_BLOCK", 8)
-    report = verify_theorem(GapTheorem("custom", 3, Fraction(3, 25), 1), 1123, 1234)
+    monkeypatch.setattr(verify_mod, "_table", small_tables)
+    sieved = _sieved(monkeypatch)
+    thm = GapTheorem("custom", 3, Fraction(3, 25), 1)
+    report = _assert_streams_like_stored_table(thm, 1000, 1234, 1)
     assert (1129, 1151) in [(p, q) for p, q, _ in report.violations]
+    assert sieved == [899, 1011, 1123]  # lo = 1000 lies in [899, 1011)
 
 
 def _fail_in_the_worker(*args):
@@ -402,14 +403,119 @@ def test_no_process_outlives_jobs_2(case, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("hi,pooled", [(10**7, False), (10**8, True)])
-def test_pool_from_pool_segments(hi, pooled, monkeypatch):
-    # 5 segments scan inline at jobs 2, 48 in two processes
+# fails on 1,868 gaps in [10^8, 2*10^8], and no segment's row passes its floor
+SIEVES_ALL = GapTheorem("custom", 3, Fraction(1, 3000), 2)
+
+
+@pytest.mark.parametrize("length,pooled", [(10**7, False), (10**8, True)])
+def test_pool_from_pool_segments(length, pooled, monkeypatch):
+    # 6 segments to sieve run inline at jobs 2, 49 in two processes
     monkeypatch.setattr(verify_mod, "_POOL_SEGMENTS", 32)
+    want = verify_theorem(SIEVES_ALL, 10**8, 10**8 + length)
     pool = mock.Mock(wraps=verify_mod._pool)
     monkeypatch.setattr(verify_mod, "_pool", pool)
-    assert verify_theorem(AXLER, AXLER.x0, hi, jobs=2).ok
+    got = verify_theorem(SIEVES_ALL, 10**8, 10**8 + length, jobs=2)
     pool.assert_called_once_with(2 if pooled else 1)
+    assert (got.pairs_checked, got.violations) == (want.pairs_checked, want.violations)
+    assert len(got.violations) == {False: 772, True: 1868}[pooled]
+
+
+# (theorem, lo, hi, segments sieved, pi(hi) - pi(lo)) with pi(10^8) = 5,761,455,
+# pi(2*10^8) = 11,078,937, pi(2*10^9) = 98,222,287 (published), and pi(58837)
+# = 5,949, pi(396738) = 33,608, pi(2898242) = 209,989
+SIEVED = [
+    # the segment holding lo alone: the last, [1998585859, 2000000001), is a
+    # row, as the budget truncates it there too
+    (DUSART, DUSART.x0, 2 * 10**9, 1, 98_222_287 - 33_608),
+    # and the last, truncated at 10^8 + 1; trudgian's floor also fails the
+    # row of [4194307, 6291459), whose gap 154 after 4652353 is above 130
+    (AXLER, AXLER.x0, 10**8, 2, 5_761_455 - 5_949),
+    (DUSART, DUSART.x0, 10**8, 2, 5_761_455 - 33_608),
+    (TRUDGIAN, TRUDGIAN.x0, 10**8, 3, 5_761_455 - 209_989),
+    # near 10^8 its floor is below the largest gap of about half the rows
+    (GapTheorem("custom", 3, Fraction(1, 2000), 2), 10**8, 2 * 10**8, 25,
+     11_078_937 - 5_761_455),
+]
+
+
+@pytest.mark.parametrize("thm,lo,hi,sieved,pairs", SIEVED)
+def test_sieves_only_what_no_row_certifies(thm, lo, hi, sieved, pairs, monkeypatch):
+    lows = _sieved(monkeypatch)
+    assert verify_theorem(thm, lo, hi).pairs_checked == pairs
+    assert len(lows) == sieved
+
+
+@pytest.mark.parametrize("thm,lo,hi", [case[:3] for case in SIEVED[1:]])
+def test_table_and_sieve_agree(thm, lo, hi, monkeypatch):
+    want = verify_theorem(thm, lo, hi)
+    monkeypatch.setattr(verify_mod, "_table", lambda name: ("", []))  # sieve all
+    got = verify_theorem(thm, lo, hi)
+    assert (got.pairs_checked, got.violations) == (want.pairs_checked, want.violations)
+
+
+# The maximal prime gaps from 2,010,733 to 2*10^9, as (gap, lower prime):
+# Oliveira e Silva, Herzog and Pardi, Math. Comp. 83 (2014); OEIS A005250/A002386
+PUBLISHED_MAXIMAL_GAPS = [
+    (148, 2_010_733), (154, 4_652_353), (180, 17_051_707), (210, 20_831_323),
+    (220, 47_326_693), (222, 122_164_747), (234, 189_695_659),
+    (248, 191_912_783), (250, 387_096_133), (282, 436_273_009),
+    (288, 1_294_268_491), (292, 1_453_168_141),
+]
+
+
+class TestSegmentTable:
+    """segments.csv, the rows by which verify passes a segment unsieved."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return core._table("segments.csv")[1]
+
+    def test_header_and_one_row_per_segment_to_the_budget(self, rows):
+        assert core._table("segments.csv")[0] == "low,high,primes,gap,prev\n"
+        parts = primes_mod.segments(primes_mod.DEFAULT_SIEVE_BUDGET)
+        assert [row[:2] for row in rows] == [seg.args[1:3] for seg in parts]
+        assert len(rows) == 954
+
+    def test_rows_to_3e8_are_a_fresh_scan(self, rows, records_script):
+        limit = 3 * 10**8
+        fresh = records_script.segment_rows(limit)
+        assert [r for r in rows if r[1] <= limit] == fresh[:-1]
+        assert fresh[-1][1] == limit + 1  # truncated, so not a row
+
+    def test_counts_sum_to_pi_of_the_budget(self, rows):
+        # pi(2*10^9) = 98,222,287, and 2 lies outside the segments
+        assert sum(row[2] for row in rows) == 98_222_286
+
+    def test_largest_gap_is_max_gap(self, rows):
+        assert max(row[3] for row in rows) == primes_mod.MAX_GAP
+
+    def test_gap_records_are_the_published_maximal_gaps(self, rows):
+        records = []
+        for *_, gap, prev in rows:
+            if not records or gap > records[-1][0]:
+                records.append((gap, prev))
+        assert records == PUBLISHED_MAXIMAL_GAPS
+
+
+def test_only_verify_reads_the_segment_table(monkeypatch, capsys):
+    # compute and table read records.csv, bound reads no table
+    read, table = [], core._table
+
+    def spy(name):
+        read.append(name)
+        return table(name)
+
+    monkeypatch.setattr(core, "_table", spy)
+    monkeypatch.setattr(verify_mod, "_table", spy)
+    for argv in [
+        "compute --k 1.1",
+        "bound --k 1.0008968291 --theorem axler",
+        "table",
+        "table --index-limit 98222287",
+        "verify --theorem axler --from 58837 --to 60000",
+    ]:
+        assert cli.main(argv.split()) == 0
+    assert read == ["records.csv"] * 3 + ["segments.csv"]
 
 
 def test_scan_chunk_accepts_zero_pairs():
