@@ -174,7 +174,7 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--from {args.frm} exceeds --to {args.to}")
     if args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
-    report = verify_theorem(thm, args.frm, args.to, jobs=args.jobs)
+    report = verify_theorem(thm, args.frm, args.to)
     record = {
         "schema": "verify",
         "theorem": _theorem_record(thm),
@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_theorem_flags(p)
     p.add_argument("--from", type=int, required=True, dest="frm")
     p.add_argument("--to", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
     p.set_defaults(func=cmd_verify)
 
     return parser

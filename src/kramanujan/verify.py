@@ -13,13 +13,10 @@ where log x >= e, as x(1 + c/log^e x) has slope 1 + c(log x - e)/log^(e+1) x >= 
 
 from __future__ import annotations
 
-import builtins
 import math
 import sys
 import time
 from bisect import bisect_right
-from contextlib import nullcontext
-from itertools import repeat
 from typing import NamedTuple
 
 from .core import _table
@@ -34,13 +31,10 @@ PRESCREEN_GUARD = 1e-9
 
 # Gap pairs per scan slice.  gap_floor passes most slices with no float; the
 # slices bound the float path's memory (scanning each whole segment as one
-# slice raised a verify's peak RSS by 8-9 %).  Semantically invisible: reports
-# are identical for any positive value (tested).
-_SCAN_PAIRS = 1 << 16
-
-# Segments from which jobs >= 2 scan in processes: a pool costs a CLI call about
-# 40 ms to import, fork and join, and two workers save about 1.4 ms a segment.
-_POOL_SEGMENTS = 32
+# slice raised a verify's peak RSS by 8-9 %, and slices of 2^16 pairs by 4-7 %
+# over 2^14).  Semantically invisible: reports are identical for any positive
+# value (tested).
+_SCAN_PAIRS = 1 << 14
 
 
 class VerificationReport(NamedTuple):
@@ -95,12 +89,9 @@ def _scan_segment(thm: GapTheorem, segment, lo: int) -> tuple[int, list]:
     return len(p), found
 
 
-def verify_theorem(
-    thm: GapTheorem, lo: int, hi: int, jobs: int = 1
-) -> VerificationReport:
+def verify_theorem(thm: GapTheorem, lo: int, hi: int) -> VerificationReport:
     """Check the pi(hi) - pi(lo) pairs of consecutive primes (p, q) with
-    lo < q <= hi, each segment by its row or else by a sieve, run in ``jobs``
-    forked processes when jobs >= 2 and _POOL_SEGMENTS or more are sieved.
+    lo < q <= hi, each segment by its row or else by a sieve.
 
     Zero violations certifies the statement empirically for all real x from lo
     to the last pair's start, when log lo >= e or each slice met its gap_floor.
@@ -116,31 +107,15 @@ def verify_theorem(
     parts = segments(hi)
     t = bisect_right(parts, lo, key=lambda seg: seg.args[1]) - 1  # it holds lo
     rows = {r[:2]: r[2:4] for r in _table("segments.csv")[1]}  # (low, high): n, gap
-    pairs, violations, sieve = 0, [], []
+    pairs, violations = 0, []
     for seg in parts[t:]:
         start, low, high = seg.args[:3]
         row = rows.get((low, high))
         if row and low > lo and row[1] <= thm.gap_floor(start, high):
             pairs += row[0]
         else:
-            sieve.append(seg)
-    with _pool(jobs if len(sieve) >= _POOL_SEGMENTS else 1) as pool:
-        for count, found in pool.map(_scan_segment, repeat(thm), sieve, repeat(lo)):
+            count, found = _scan_segment(thm, seg, lo)
             pairs += count
             violations += found
     elapsed = time.perf_counter() - began
     return VerificationReport(thm, lo, hi, pairs, violations, elapsed)
-
-
-def _pool(jobs: int):
-    """builtins, whose map runs inline, for one job; else a pool of jobs processes
-    forked at its first map, after numpy loaded (spawned ones import it again)."""
-    if jobs == 1:
-        return nullcontext(builtins)
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    try:
-        fork = multiprocessing.get_context("fork")
-    except ValueError as e:  # no fork on this platform
-        raise ValueError(f"--jobs {jobs} needs processes made by fork: {e}") from None
-    return ProcessPoolExecutor(jobs, mp_context=fork)

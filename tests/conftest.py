@@ -3,15 +3,7 @@ from pathlib import Path
 
 import pytest
 
-import kramanujan.verify as verify_mod
 from kramanujan import sieve_upto
-
-
-@pytest.fixture(autouse=True)
-def pool_from_two_segments(monkeypatch):
-    # verify's small test ranges then run --jobs >= 2 in processes too, as
-    # ranges of _POOL_SEGMENTS segments and more do (the report is the same)
-    monkeypatch.setattr(verify_mod, "_POOL_SEGMENTS", 2)
 
 
 @pytest.fixture(scope="session")

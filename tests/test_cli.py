@@ -4,7 +4,6 @@ import importlib.util
 import io
 import json
 import math
-import multiprocessing
 import os
 import re
 import subprocess
@@ -475,7 +474,8 @@ def test_verify_jobs_flag(capsys):
 
 
 def test_verify_jobs_2_stdout_is_jobs_1_stdout(capsys, monkeypatch):
-    # segments of 10^5 integers: ten, so --jobs 2 scans in processes
+    # --jobs has no effect: segments of 10^5 integers match no row of
+    # segments.csv, so all ten are sieved at either setting
     monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", 50_000)
     args = ["verify", "--theorem", "custom", "--x0", "58837", "--c", "0.05",
             "--e", "3", "--from", "58837", "--to", "1000000"]
@@ -484,17 +484,6 @@ def test_verify_jobs_2_stdout_is_jobs_1_stdout(capsys, monkeypatch):
     assert len(json.loads(one)["violations"]) == 36_275
     elapsed = re.compile(r'"elapsed_seconds": .*')
     assert elapsed.sub("", one) == elapsed.sub("", two)
-
-
-def test_verify_jobs_without_fork_exit(capsys, monkeypatch):
-    def no_fork(method=None):
-        raise ValueError(f"cannot find context for {method!r}")
-
-    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-    code, out, err = run(capsys, "verify", "--theorem", "axler", "--from", "58837",
-                         "--to", "5000000", "--jobs", "2")
-    assert (code, out) == (1, "")
-    assert err.startswith("error: --jobs 2 ") and err.count("\n") == 1
 
 
 def test_verify_jobs_below_one_exit(capsys):
@@ -866,18 +855,18 @@ def test_cli_imports_no_mpmath():
 def test_cli_starts_without_numpy():
     # compute and table at the paper's k_min read records.csv, and bound is
     # exact decimal arithmetic; numpy loads with the first sieve, and a verify
-    # at --jobs 1 starts no process pool
+    # that sieves two segments at --jobs 2 starts no process
     code = "\n".join([
         "import sys",
         "from kramanujan.cli import main",
-        "heavy = ['numpy', 'concurrent.futures']",
+        "heavy = ['numpy', 'multiprocessing', 'concurrent.futures']",
         "assert main(['compute', '--k', '1.0008968291']) == 0",
         "assert main(['bound', '--k', '1.0001', '--theorem', 'dusart']) == 0",
         "assert main(['table']) == 0",
         "assert main(['table', '--index-limit', '98222287']) == 0",
         "print([m for m in heavy if m in sys.modules], file=sys.stderr)",
         "assert main(['verify', '--theorem', 'axler', '--from', '58837',"
-        " '--to', '60000']) == 0",
+        " '--to', '5000000', '--jobs', '2']) == 0",
         "print([m for m in heavy if m in sys.modules], file=sys.stderr)",
     ])
     proc = run_fresh(sys.executable, "-c", code)

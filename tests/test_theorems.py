@@ -31,7 +31,6 @@ from kramanujan import (
     UnsupportedRangeError,
     certified_bound,
     cor_bound,
-    verify_theorem,
 )
 from kramanujan import core
 from kramanujan.theorems import _corollary, _log_pow
@@ -112,7 +111,6 @@ def test_no_global_precision_writes_from_threads(monkeypatch):
         (AXLER.threshold_exceeds, (58837, 58889)),
     ]
     want = [f(*args) for f, args in calls]
-    report = verify_theorem(WEAK, 58837, 10**6)
 
     # every worker thread holds a decimal context that would round, flag or
     # raise on any operation the package let read it
@@ -148,14 +146,11 @@ def test_no_global_precision_writes_from_threads(monkeypatch):
     try:
         with ThreadPoolExecutor(max_workers=8, initializer=set_hostile_context) as pool:
             got = list(pool.map(call, calls * 20))
-        jobs4 = verify_theorem(WEAK, 58837, 10**6, jobs=4)
     finally:
         sys.setswitchinterval(interval)
     assert writes == []
     assert got == want * 20
     assert hostile
-    assert jobs4.violations == report.violations
-    assert jobs4.pairs_checked == report.pairs_checked
 
 
 @pytest.mark.parametrize("e", [10**6, 10**7])

@@ -1,5 +1,4 @@
 import math
-import multiprocessing
 import time
 import tracemalloc
 from fractions import Fraction
@@ -96,7 +95,7 @@ def test_range_errors():
         verify_theorem(AXLER, 58837, primes_mod.DEFAULT_SIEVE_BUDGET + 1)
 
 
-def test_determinism_and_jobs_merge(monkeypatch):
+def test_determinism_across_seams(monkeypatch):
     # the report depends only on [lo, hi]: the pairs end at q <= hi, so the
     # pair 999983 -> 1000003 past 10^6 is not checked
     cases = [(CUSTOM_WEAK, 58837, 10**6, 36_275), (AXLER, AXLER.x0, 10**7, 0)]
@@ -107,10 +106,9 @@ def test_determinism_and_jobs_merge(monkeypatch):
     for (thm, lo, hi, count), want in zip(cases, expected):
         assert len(want.violations) == count
         assert want.violations == sorted(want.violations)
-        for jobs in (1, 2, 3):
-            got = verify_theorem(thm, lo, hi, jobs=jobs)
-            assert got.violations == want.violations
-            assert got.pairs_checked == want.pairs_checked
+        got = verify_theorem(thm, lo, hi)
+        assert got.violations == want.violations
+        assert got.pairs_checked == want.pairs_checked
 
 
 RECHECK_RANGE = (58837, 150_000)
@@ -142,18 +140,22 @@ def test_float_margin_matches_full_recheck(full_recheck):
         assert want
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("scan_pairs", [1, 2])
 @pytest.mark.parametrize("guard", [1.0, 1e-3])
-def test_exact_band_width_changes_no_violation(monkeypatch, full_recheck, guard, jobs):
+def test_exact_band_width_changes_no_violation(
+    monkeypatch, full_recheck, guard, scan_pairs
+):
     # guard 1.0 sends every gap to the exact check, 1e-3 a wide band; small
-    # segments put seam pairs in the range.  The items stay plain Python
-    # numbers, which the CLI's row template needs
+    # segments put seam pairs in the range, and slices of one or two pairs a
+    # slice seam at every pair.  The items stay plain Python numbers, which
+    # the CLI's row template needs
     for thm, want in full_recheck.items():
         default = verify_theorem(thm, *RECHECK_RANGE).violations
         with monkeypatch.context() as m:
             m.setattr(verify_mod, "PRESCREEN_GUARD", guard)
             m.setattr(primes_mod, "_SEGMENT_ODDS", 5000)
-            got = verify_theorem(thm, *RECHECK_RANGE, jobs=jobs).violations
+            m.setattr(verify_mod, "_SCAN_PAIRS", scan_pairs)
+            got = verify_theorem(thm, *RECHECK_RANGE).violations
         assert got == default
         assert [(a, b) for a, b, _ in got] == want
         assert {tuple(map(type, v)) for v in got} == {(int, int, float)}
@@ -211,10 +213,10 @@ def test_non_finite_floats_decided_exactly(store_10m, c, e, lo, hi):
     assert [(a, b) for a, b, _ in report.violations] == exact == []
 
 
-def _assert_streams_like_stored_table(thm, lo, hi, jobs):
+def _assert_streams_like_stored_table(thm, lo, hi):
     # the pairs of a table sieved to hi, scanned as one slice
     p, q = sieve_upto(hi).gap_arrays(lo, hi)
-    report = verify_theorem(thm, lo, hi, jobs=jobs)
+    report = verify_theorem(thm, lo, hi)
     assert report.violations == verify_mod._scan_chunk(thm, p, q, lo)
     assert report.pairs_checked == len(p)
     return report
@@ -224,12 +226,11 @@ def _assert_streams_like_stored_table(thm, lo, hi, jobs):
 @given(
     thm=st.sampled_from(MIXED),
     odds=st.sampled_from([1, 8, 56, 1000]),
-    jobs=st.sampled_from([1, 3]),
     ends=st.lists(st.integers(3, 20_000), min_size=2, max_size=2),
 )
-def test_streaming_matches_stored_table(thm, odds, jobs, ends):
+def test_streaming_matches_stored_table(thm, odds, ends):
     with mock.patch.object(primes_mod, "_SEGMENT_ODDS", odds):
-        _assert_streams_like_stored_table(thm, *sorted(ends), jobs)
+        _assert_streams_like_stored_table(thm, *sorted(ends))
 
 
 @pytest.mark.parametrize(
@@ -253,11 +254,13 @@ def test_streaming_matches_stored_table(thm, odds, jobs, ends):
         pytest.param(1348, 1500, 8, id="lo-past-empty-segment-1331"),
     ],
 )
-@pytest.mark.parametrize("jobs", [1, 3])
-def test_streaming_edges(lo, hi, odds, jobs, monkeypatch):
+# slices of one and of three pairs put slice seams beside the segment seams
+@pytest.mark.parametrize("scan_pairs", [1, 3])
+def test_streaming_edges(lo, hi, odds, scan_pairs, monkeypatch):
     monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", odds)
+    monkeypatch.setattr(verify_mod, "_SCAN_PAIRS", scan_pairs)
     for thm in [*MIXED, EVERY_GAP_FAILS]:
-        _assert_streams_like_stored_table(thm, lo, hi, jobs)
+        _assert_streams_like_stored_table(thm, lo, hi)
 
 
 def test_segments_below_lo_are_not_sieved(monkeypatch):
@@ -276,21 +279,21 @@ def test_segments_below_lo_are_not_sieved(monkeypatch):
     assert sorted(low for low in lows if low > 44) == list(range(1347, 2000, 16))
 
 
-@pytest.mark.parametrize("jobs", [1, 3])
-def test_streaming_empty_last_segment(jobs, monkeypatch):
+@pytest.mark.parametrize("scan_pairs", [1, 3])
+def test_streaming_empty_last_segment(scan_pairs, monkeypatch):
     monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", 56)
+    monkeypatch.setattr(verify_mod, "_SCAN_PAIRS", scan_pairs)
     last = primes_mod.segments(1359)[-1]  # [1347, 1359]
     assert primes_mod.segment_primes(last(), last.args[0]).max() < 1347
     for thm in MIXED:
-        _assert_streams_like_stored_table(thm, 100, 1359, jobs)
+        _assert_streams_like_stored_table(thm, 100, 1359)
 
 
 def test_streaming_memory_is_per_segment():
-    # a table to 5*10^7 alone is 24 MB of int64 primes; at jobs 1, since
-    # tracemalloc sees nothing of the worker processes
+    # a table to 5*10^7 alone is 24 MB of int64 primes
     tracemalloc.start()
     try:
-        report = verify_theorem(AXLER, AXLER.x0, 5 * 10**7, jobs=1)
+        report = verify_theorem(AXLER, AXLER.x0, 5 * 10**7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -321,7 +324,7 @@ def small_tables(records_script):
 
 
 def _sieved(monkeypatch):
-    """The low of each segment that verify_theorem sieves, at jobs 1."""
+    """The low of each segment that verify_theorem sieves."""
     lows, scan = [], verify_mod._scan_segment
     monkeypatch.setattr(
         verify_mod, "_scan_segment",
@@ -334,13 +337,12 @@ def _sieved(monkeypatch):
 @given(
     thm=st.sampled_from([*MIXED, GATED]),
     odds=st.sampled_from([56, 200, 1000]),
-    jobs=st.sampled_from([1, 2]),
     ends=st.lists(st.integers(3, 20_000), min_size=2, max_size=2),
 )
-def test_gate_matches_stored_table(small_tables, thm, odds, jobs, ends):
+def test_gate_matches_stored_table(small_tables, thm, odds, ends):
     with mock.patch.object(primes_mod, "_SEGMENT_ODDS", odds):
         with mock.patch.object(verify_mod, "_table", small_tables):
-            _assert_streams_like_stored_table(thm, *sorted(ends), jobs)
+            _assert_streams_like_stored_table(thm, *sorted(ends))
 
 
 def test_gate_passes_segments(small_tables, monkeypatch):
@@ -349,17 +351,18 @@ def test_gate_passes_segments(small_tables, monkeypatch):
     monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", 200)
     monkeypatch.setattr(verify_mod, "_table", small_tables)
     sieved = _sieved(monkeypatch)
-    _assert_streams_like_stored_table(GATED, 1000, 20_000, 1)
+    _assert_streams_like_stored_table(GATED, 1000, 20_000)
     lows = [s.args[1] for s in primes_mod.segments(20_000) if s.args[2] > 1000]
     assert sieved == [lows[0], lows[-1]] and len(lows) > 40
 
 
 @pytest.mark.parametrize("lo", [2_097_100, 2_097_150, 2_097_160])
-@pytest.mark.parametrize("jobs", [1, 3])
-def test_seam_pair_at_production_size(lo, jobs):
+@pytest.mark.parametrize("scan_pairs", [1, 3])
+def test_seam_pair_at_production_size(lo, scan_pairs, monkeypatch):
     # the first seam, 3 + 2^21 = 2,097,155, lies inside the gap 2097143 -> 2097169
     assert primes_mod.segments(2_097_200)[1].args[1] == 2_097_155
-    report = _assert_streams_like_stored_table(EVERY_GAP_FAILS, lo, 2_097_200, jobs)
+    monkeypatch.setattr(verify_mod, "_SCAN_PAIRS", scan_pairs)
+    report = _assert_streams_like_stored_table(EVERY_GAP_FAILS, lo, 2_097_200)
     pairs = [(p, q) for p, q, _ in report.violations]
     assert pairs.count((2_097_143, 2_097_169)) == 1
 
@@ -370,7 +373,7 @@ def test_gate_leaves_the_segment_starting_at_lo(small_tables, monkeypatch):
     monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", 56)
     monkeypatch.setattr(verify_mod, "_table", small_tables)
     assert 1459 in [seg.args[1] for seg in primes_mod.segments(2000)]
-    _assert_streams_like_stored_table(GATED, 1459, 2000, 1)
+    _assert_streams_like_stored_table(GATED, 1459, 2000)
 
 
 def test_gate_needs_the_gap_within_the_floor(small_tables, monkeypatch):
@@ -381,43 +384,22 @@ def test_gate_needs_the_gap_within_the_floor(small_tables, monkeypatch):
     monkeypatch.setattr(verify_mod, "_table", small_tables)
     sieved = _sieved(monkeypatch)
     thm = GapTheorem("custom", 3, Fraction(3, 25), 1)
-    report = _assert_streams_like_stored_table(thm, 1000, 1234, 1)
+    report = _assert_streams_like_stored_table(thm, 1000, 1234)
     assert (1129, 1151) in [(p, q) for p, q, _ in report.violations]
     assert sieved == [899, 1011, 1123]  # lo = 1000 lies in [899, 1011)
-
-
-def _fail_in_the_worker(*args):
-    raise RuntimeError("scan failed")
-
-
-@pytest.mark.parametrize("case", ["returns", "violations", "worker-raises"])
-def test_no_process_outlives_jobs_2(case, monkeypatch):
-    # AXLER.x0 lies in the first segment, so only the workers scan
-    if case == "worker-raises":
-        monkeypatch.setattr(verify_mod, "_scan_segment", _fail_in_the_worker)
-        with pytest.raises(RuntimeError, match="scan failed"):
-            verify_theorem(AXLER, AXLER.x0, 10**7, jobs=2)
-    else:
-        thm = AXLER if case == "returns" else CUSTOM_WEAK
-        assert verify_theorem(thm, AXLER.x0, 10**7, jobs=2).ok == (thm is AXLER)
-    assert multiprocessing.active_children() == []
 
 
 # fails on 1,868 gaps in [10^8, 2*10^8], and no segment's row passes its floor
 SIEVES_ALL = GapTheorem("custom", 3, Fraction(1, 3000), 2)
 
 
-@pytest.mark.parametrize("length,pooled", [(10**7, False), (10**8, True)])
-def test_pool_from_pool_segments(length, pooled, monkeypatch):
-    # 6 segments to sieve run inline at jobs 2, 49 in two processes
-    monkeypatch.setattr(verify_mod, "_POOL_SEGMENTS", 32)
-    want = verify_theorem(SIEVES_ALL, 10**8, 10**8 + length)
-    pool = mock.Mock(wraps=verify_mod._pool)
-    monkeypatch.setattr(verify_mod, "_pool", pool)
-    got = verify_theorem(SIEVES_ALL, 10**8, 10**8 + length, jobs=2)
-    pool.assert_called_once_with(2 if pooled else 1)
-    assert (got.pairs_checked, got.violations) == (want.pairs_checked, want.violations)
-    assert len(got.violations) == {False: 772, True: 1868}[pooled]
+@pytest.mark.parametrize(
+    "hi,sieved,violations", [(11 * 10**7, 6, 772), (2 * 10**8, 49, 1868)]
+)
+def test_violations_where_no_row_certifies(hi, sieved, violations, monkeypatch):
+    lows = _sieved(monkeypatch)
+    report = verify_theorem(SIEVES_ALL, 10**8, hi)
+    assert (len(lows), len(report.violations)) == (sieved, violations)
 
 
 # (theorem, lo, hi, segments sieved, pi(hi) - pi(lo)) with pi(10^8) = 5,761,455,
@@ -546,19 +528,18 @@ def test_int64_gate_above_two_to_the_31(monkeypatch):
     assert [verify_mod._scan_chunk(thm, a, b, lo) for a, b in slices] == want
 
 
-def _reports(cases, jobs):
+def _reports(cases):
     return [
         (r.violations, r.pairs_checked)
-        for r in (verify_theorem(thm, lo, hi, jobs=jobs) for thm, lo, hi in cases)
+        for r in (verify_theorem(thm, lo, hi) for thm, lo, hi in cases)
     ]
 
 
 def test_floor_matches_float_path_on_builtins(monkeypatch):
     cases = [(thm, thm.x0, 10**7) for thm in BUILTIN_THEOREMS.values()]
-    want = {jobs: _reports(cases, jobs) for jobs in (1, 2, 3)}
+    want = _reports(cases)
     _float_path_only(monkeypatch)
-    for jobs in (1, 2, 3):
-        assert _reports(cases, jobs) == want[jobs]
+    assert _reports(cases) == want
 
 
 # the shapes of perfbench's param-search candidates, with a small hi, and one
@@ -572,18 +553,18 @@ PARAM_SHAPES = [
 ]
 
 
-@pytest.mark.parametrize("scan_pairs", [verify_mod._SCAN_PAIRS, 1000, 7])
+@pytest.mark.parametrize("scan_pairs", [verify_mod._SCAN_PAIRS, 1 << 16, 1000, 7])
 def test_floor_matches_float_path_on_param_shapes(scan_pairs, monkeypatch):
     monkeypatch.setattr(verify_mod, "_SCAN_PAIRS", scan_pairs)
-    want = _reports(PARAM_SHAPES, 1)
+    want = _reports(PARAM_SHAPES)
     assert all(violations for violations, _ in want)
     _float_path_only(monkeypatch)
-    assert _reports(PARAM_SHAPES, 1) == want
+    assert _reports(PARAM_SHAPES) == want
 
 
-@pytest.mark.parametrize("thm,slices", [(AXLER, 1), (DUSART, 1), (TRUDGIAN, 2)])
+@pytest.mark.parametrize("thm,slices", [(AXLER, 2), (DUSART, 1), (TRUDGIAN, 3)])
 def test_slices_reaching_the_float_path(thm, slices, monkeypatch):
-    # of the 13-18 scan_chunk calls to 10^7, the exact floor passes all but
+    # of the 15-22 scan_chunk calls to 10^7, the exact floor passes all but
     # these; a weaker floor sends more slices to the prescreen
     prescreen = mock.Mock(wraps=verify_mod._prescreen)
     monkeypatch.setattr(verify_mod, "_prescreen", prescreen)
