@@ -129,11 +129,11 @@ def records_above(k: Fraction) -> tuple[int, list[BreakpointEntry]]:
     return bound, [BreakpointEntry(a, p, q, Fraction(p, q)) for a, p, q in above]
 
 
-def _table(name: str) -> tuple[str, list[tuple[int, ...]]]:
-    """The header line and integer rows of a committed table that
-    scripts/records.py writes: records.csv or segments.csv."""
+def _table(name: str, i=0, j=None) -> tuple[str, list[tuple[int, ...]]]:
+    """The header line and integer rows (all, or rows i to j - 1) of a committed
+    table that scripts/records.py writes: records.csv or segments.csv."""
     with open(os.path.join(os.path.dirname(__file__), name)) as f:
-        return f.readline(), [tuple(map(int, r.split(","))) for r in f]
+        return f.readline(), [tuple(map(int, r.split(","))) for r in islice(f, i, j)]
 
 
 def brute_force_R(k: Fraction, n: int, scan_limit: int) -> int:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import partial
+from itertools import compress
 
 from .errors import DomainError, RangeError, ResourceLimitError
 
@@ -83,8 +85,8 @@ def sieve_upto(limit: int) -> PrimeStore:
 def segments(limit: int) -> list[partial]:
     """One zero-argument sieve per segment [low, high) of [3, limit], in order,
     each taking start = max(3, low - MAX_GAP), low and high as its first three
-    arguments and returning the odd mask of [start, high) (entry i: whether
-    start + 2i is prime); the only range and budget check of a sieve."""
+    arguments and returning the odd mask of [start, high) as a bytearray (byte
+    i: whether start + 2i is prime); the only range and budget check of a sieve."""
     if limit < 0:
         raise RangeError("sieve limit must be non-negative")
     if limit > DEFAULT_SIEVE_BUDGET:
@@ -93,48 +95,52 @@ def segments(limit: int) -> list[partial]:
         )
     if limit < 3:
         return []
-    import numpy as np
-    odd_base = _sieve(math.isqrt(limit))[1:]
-    wheel = np.ones(math.prod(_WHEEL), dtype=bool)  # entry j stands for 2j + 1
+    root = math.isqrt(limit)
+    flags = bytearray([1]) * (root + 1)  # a plain sieve of the base primes
+    for p in range(3, math.isqrt(root) + 1, 2):
+        if flags[p]:
+            flags[p * p :: 2 * p] = bytes(len(range(p * p, root + 1, 2 * p)))
+    odd = compress(range(_WHEEL[-1] + 2, root + 1, 2), flags[_WHEEL[-1] + 2 :: 2])
+    wheel = bytearray([1]) * math.prod(_WHEEL)  # byte j stands for 2j + 1
     for p in _WHEEL:
-        wheel[p // 2 :: p] = False
-    span = 2 * _SEGMENT_ODDS
+        wheel[p // 2 :: p] = bytes(len(range(p // 2, len(wheel), p)))
+    base, wheel, span = [*_WHEEL, *odd], bytes(wheel), 2 * _SEGMENT_ODDS  # wheel first
     return [
         partial(_segment, max(3, low - MAX_GAP), low, min(low + span, limit + 1),
-                odd_base, wheel)
+                base, wheel)
         for low in range(3, limit + 1, span)
     ]
 
 
-def segment_primes(mask: np.ndarray, start: int) -> np.ndarray:
+def segment_primes(mask: bytearray, start: int) -> np.ndarray:
     """The primes start + 2i of an odd mask from start."""
-    found = mask.nonzero()[0]
+    import numpy as np
+    found = np.frombuffer(mask, np.bool_).nonzero()[0]
     found *= 2  # in place: one temporary per segment
     found += start
     return found
 
 
-def _segment(
-    start: int, low: int, high: int, odd_base: np.ndarray, wheel: np.ndarray
-) -> np.ndarray:
-    """Odd mask of [start, high) for odd start <= low: the wheel (entry j: 2j + 1 is
-    prime to 15015) tiled from start, its primes restored, the base primes above
-    13 struck.  Raises if [start, low) is not empty but holds no prime."""
-    import numpy as np
-    mask = np.resize(np.roll(wheel, -(start // 2)), (high - start + 1) // 2)
-    mask[[(p - start) // 2 for p in _WHEEL if start <= p < high]] = True
-    base = odd_base[len(_WHEEL) :]  # odd_base starts 3, 5, 7, 11, 13 when it has them
-    first = np.maximum(base * base, -(-start // base) * base)
-    first += base * (first % 2 == 0)  # first odd multiple
-    for p, i in zip(base.tolist(), ((first - start) // 2).tolist()):
-        mask[i::p] = False  # a start past the segment strikes nothing
-    if start < low and not mask[: (low - start) // 2].any():
+def _segment(start: int, low: int, high: int, base: list, wheel: bytes) -> bytearray:
+    """Odd mask of [start, high) for odd start <= low: the wheel (byte j: 2j + 1 is
+    prime to 15015) tiled from start, base primes 17..isqrt(high - 1) struck, base
+    primes in range restored.  Raises if [start, low) is not empty but has no prime."""
+    n, r = (high - start + 1) // 2, start // 2 % len(wheel)
+    mask = bytearray(wheel[r:] + wheel[:r]) * (n // len(wheel) + 1)
+    del mask[n:]
+    zeros = memoryview(bytes(n // 17 + 1))  # the longest strike, at p = 17
+    for p in base[len(_WHEEL) : bisect_right(base, math.isqrt(high - 1))]:
+        i = (-start - p) // 2 % p  # start + 2i: p's first odd multiple from start
+        mask[i::p] = zeros[: (n - 1 - i) // p + 1]  # none when i >= n
+    for p in base[bisect_left(base, start) : bisect_left(base, high)]:
+        mask[(p - start) // 2] = 1
+    if start < low and mask.find(1, 0, (low - start) // 2) < 0:
         raise RuntimeError(f"no prime in [{start}, {low}): a gap past MAX_GAP")
     return mask
 
 
 def _sieve(limit: int) -> np.ndarray:
-    """Primes <= limit, odd-only and segmented; base primes from _sieve(isqrt)."""
+    """Primes <= limit: 2, then the odd masks of segments(limit)."""
     import numpy as np
     parts = segments(limit)
     if limit < 2:

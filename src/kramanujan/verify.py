@@ -1,14 +1,14 @@
 """Empirical verification of short-interval prime theorems over prime ranges.
 
 Each segment owns the pairs (p, q) whose q it holds; its mask, from MAX_GAP
-below it, holds p too.  A scan slice whose largest gap is at most
-GapTheorem.gap_floor on it is certified with no float for every real x in it.
-So is, unsieved, a segment above lo whose row (low, high) of the committed
-segments.csv has its largest gap within gap_floor from the mask's start: a
-result rests on that table as compute's rests on records.csv.  Other slices go
-to a float64 prescreen whose guard leaves the doubtful gaps to exact checks;
-one check per gap (p, q), at x = p or at x = lo inside it, covers every real x
-where log x >= e, as x(1 + c/log^e x) has slope 1 + c(log x - e)/log^(e+1) x >= 1.
+below it, holds p too.  A gap at most GapTheorem.gap_floor on its scan slice is
+certified with no float for every real x in it, and so is, unsieved, a segment
+above lo whose row (low, high) of the committed segments.csv has its largest gap
+within gap_floor from the mask's start: a result rests on that table as compute's
+rests on records.csv.  The mask finds the other gaps as runs of zero bytes for a
+float prescreen whose guard leaves the doubtful ones to exact checks; one check per
+gap (p, q), at x = p or at x = lo inside it, covers every real x where log x >= e,
+as x(1 + c/log^e x) has slope 1 + c(log x - e)/log^(e+1) x >= 1.
 """
 
 from __future__ import annotations
@@ -17,24 +17,22 @@ import math
 import sys
 import time
 from bisect import bisect_right
-from typing import NamedTuple
+from itertools import compress, zip_longest
+from typing import Iterable, NamedTuple
 
 from .core import _table
 from .errors import DomainError, RangeError
-from .primes import segment_primes, segments
+from .primes import MAX_GAP, segments
 from .theorems import GapTheorem
 
 # Relative guard of the prescreen of x(1 + c/log^e x), which decides only finite
-# values: then e <= 7547 (log^e 3 is finite), x < 2^53 is exact, and with np.log
-# within a few ulp the relative error is near e*2^-51, under 4*10^-12.
+# values: then e <= 7547 (log^e 3 is finite), x < 2^53 is exact, and with libm's
+# log and pow within an ulp the relative error is near e*2^-51, under 4*10^-12.
 PRESCREEN_GUARD = 1e-9
 
-# Gap pairs per scan slice.  gap_floor passes most slices with no float; the
-# slices bound the float path's memory (scanning each whole segment as one
-# slice raised a verify's peak RSS by 8-9 %, and slices of 2^16 pairs by 4-7 %
-# over 2^14).  Semantically invisible: reports are identical for any positive
-# value (tested).
-_SCAN_PAIRS = 1 << 14
+# Mask bytes (odd integers) per scan slice, which has its own gap_floor, as that
+# grows with x.  Semantically invisible: reports are identical for any positive value.
+_SCAN_ODDS = 1 << 14
 
 
 class VerificationReport(NamedTuple):
@@ -50,43 +48,55 @@ class VerificationReport(NamedTuple):
         return not self.violations
 
 
-def _scan_chunk(thm: GapTheorem, p: np.ndarray, q: np.ndarray, lo: int) -> list:
-    """Violating pairs (q > lo) of a slice: none, with no float, within gap_floor."""
-    if len(p) and (q - p).max() <= thm.gap_floor(max(int(p[0]), lo), int(q[-1])):
-        return []
-    return _prescreen(thm, p, q, lo)
+def _gaps(mask: bytearray, start: int, b0: int, b1: int, half: int) -> list:
+    """The pairs (p, q) of consecutive primes of an odd mask from start, q at a
+    byte in [b0, b1), with q - p > 2 * half: a q after half zero bytes at least."""
+    if 3 * half < start.bit_length():  # 2 * half < ~log x, the mean gap: list all
+        primes = [start + 2 * mask.rfind(1, 0, b0),
+                  *compress(range(start + 2 * b0, start + 2 * b1, 2), mask[b0:b1])]
+        return [(p, q) for p, q in zip(primes, primes[1:]) if q - p > 2 * half]
+    run, found = bytes(half) + b"\1", []
+    j = mask.find(run, max(b0 - half, 0), b1)
+    while j >= 0:
+        found.append((start + 2 * mask.rfind(1, 0, j), start + 2 * (j + half)))
+        j = mask.find(run, j + half + 1, b1)
+    return found
 
 
-def _prescreen(thm: GapTheorem, p: np.ndarray, q: np.ndarray, lo: int) -> list:
-    """Violating pairs of a slice: the float prescreen, then exact rechecks."""
-    import numpy as np
-    x = np.maximum(p, lo).astype(np.float64)
-    c = float(thm.c) if thm.c <= sys.float_info.max else np.inf
-    e = min(thm.e, sys.float_info.max)
-    with np.errstate(over="ignore", invalid="ignore"):
-        log_pow = np.log(x) ** e  # inf past e = 7547
-        thr = x * (1.0 + c / log_pow)
-        margin = (thr - q) / thr
-        margin[~np.isfinite(log_pow + thr)] = 0.0  # inside the guard: exact
-        bad = np.isnan(thr)  # c/log^e x = inf/inf: exp(ln c - e ln ln x) instead
-        ln_c = math.log(thm.c.numerator) - math.log(thm.c.denominator)  # c > 0
-        thr[bad] = x[bad] * (1.0 + np.exp(ln_c - e * np.log(np.log(x[bad]))))
-    fails = margin <= -PRESCREEN_GUARD
-    for j in np.flatnonzero((margin < PRESCREEN_GUARD) & ~fails).tolist():
-        fails[j] = not thm.threshold_exceeds(max(int(p[j]), lo), int(q[j]))
-    return list(zip(p[fails].tolist(), q[fails].tolist(), thr[fails].tolist()))
+def _prescreen(thm: GapTheorem, pairs: Iterable[tuple[int, int]], lo: int) -> list:
+    """Violations (p, q, threshold at x = max(p, lo)) among gap pairs: the float
+    prescreen, then exact rechecks."""
+    c = float(thm.c) if thm.c <= sys.float_info.max else math.inf
+    ln_c = math.log(thm.c.numerator) - math.log(thm.c.denominator)  # c > 0
+    e, log, guard, found = thm.e, math.log, PRESCREEN_GUARD, []
+    for p, q in pairs:
+        x = p if p > lo else lo  # only a segment's first pair can start below lo
+        try:
+            thr = x * (1.0 + c / log(x) ** e)
+            margin = (thr - q) / thr  # nan when thr is inf
+        except OverflowError:  # log^e x = inf past e = 7547: c/inf = 0, and for
+            # c = inf exp(ln c - e ln ln x), not inf/inf (x(1 + e^709) is inf)
+            tail = min(ln_c - min(e, sys.float_info.max) * log(log(x)), 709.0)
+            thr, margin = x * (1.0 + math.exp(tail) * (c == math.inf)), math.nan
+        if margin >= guard:  # a nan margin, not finite, is decided exactly
+            continue
+        if margin <= -guard or not thm.threshold_exceeds(x, q):
+            found.append((p, q, thr))
+    return found
 
 
 def _scan_segment(thm: GapTheorem, segment, lo: int) -> tuple[int, list]:
-    """Sieve one segment and scan, in slices, the pairs (p, q) whose q it holds,
-    with q > lo: the number of pairs and the violations."""
-    primes = segment_primes(segment(), segment.args[0])
-    a = int(primes.searchsorted(max(lo, segment.args[1] - 1), side="right"))
-    p, q, step = primes[a - 1 : -1], primes[a:], _SCAN_PAIRS
+    """Sieve one segment and scan, in slices of its mask, the pairs (p, q) whose
+    q it holds, with q > lo: the number of pairs and the violations."""
+    mask, (start, low) = segment(), segment.args[:2]
+    a = (max(lo + 1, low) - start + 1) // 2  # the byte of the first q
     found = []
-    for s in range(0, len(p), step):
-        found += _scan_chunk(thm, p[s : s + step], q[s : s + step], lo)
-    return len(p), found
+    for b0 in range(a, len(mask), _SCAN_ODDS):
+        b1 = min(b0 + _SCAN_ODDS, len(mask))
+        xa = max(start + 2 * mask.rfind(1, 0, b0), lo)  # the slice's first p
+        floor = min(thm.gap_floor(xa, start + 2 * b1 - 2), MAX_GAP)
+        found += _prescreen(thm, _gaps(mask, start, b0, b1, floor // 2), lo)
+    return mask.count(1, a), found
 
 
 def verify_theorem(thm: GapTheorem, lo: int, hi: int) -> VerificationReport:
@@ -94,7 +104,7 @@ def verify_theorem(thm: GapTheorem, lo: int, hi: int) -> VerificationReport:
     lo < q <= hi, each segment by its row or else by a sieve.
 
     Zero violations certifies the statement empirically for all real x from lo
-    to the last pair's start, when log lo >= e or each slice met its gap_floor.
+    to the last pair's start, when log lo >= e or each gap met its slice's floor.
     """
     if lo < max(thm.x0, 3):
         raise DomainError(
@@ -106,13 +116,12 @@ def verify_theorem(thm: GapTheorem, lo: int, hi: int) -> VerificationReport:
     began = time.perf_counter()
     parts = segments(hi)
     t = bisect_right(parts, lo, key=lambda seg: seg.args[1]) - 1  # it holds lo
-    rows = {r[:2]: r[2:4] for r in _table("segments.csv")[1]}  # (low, high): n, gap
+    rows = _table("segments.csv", t, len(parts))[1]  # row i: segment i, if a row
     pairs, violations = 0, []
-    for seg in parts[t:]:
+    for seg, row in zip_longest(parts[t:], rows, fillvalue=()):
         start, low, high = seg.args[:3]
-        row = rows.get((low, high))
-        if row and low > lo and row[1] <= thm.gap_floor(start, high):
-            pairs += row[0]
+        if row[:2] == (low, high) and low > lo and row[3] <= thm.gap_floor(start, high):
+            pairs += row[2]
         else:
             count, found = _scan_segment(thm, seg, lo)
             pairs += count

@@ -853,9 +853,9 @@ def test_cli_imports_no_mpmath():
 
 
 def test_cli_starts_without_numpy():
-    # compute and table at the paper's k_min read records.csv, and bound is
-    # exact decimal arithmetic; numpy loads with the first sieve, and a verify
-    # that sieves two segments at --jobs 2 starts no process
+    # compute and table at the paper's k_min read records.csv, bound is exact
+    # decimal arithmetic, and verify scans bytearray masks: a verify that sieves
+    # two segments, and a violating one, load neither numpy nor a pool
     code = "\n".join([
         "import sys",
         "from kramanujan.cli import main",
@@ -868,10 +868,13 @@ def test_cli_starts_without_numpy():
         "assert main(['verify', '--theorem', 'axler', '--from', '58837',"
         " '--to', '5000000', '--jobs', '2']) == 0",
         "print([m for m in heavy if m in sys.modules], file=sys.stderr)",
+        "assert main(['verify', '--theorem', 'custom', '--x0', '58837', '--c',"
+        " '0.05', '--e', '3', '--from', '58837', '--to', '1000000']) == 3",
+        "print([m for m in heavy if m in sys.modules], file=sys.stderr)",
     ])
     proc = run_fresh(sys.executable, "-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "[]\n['numpy']\n"
+    assert proc.stderr == "[]\n[]\n[]\n"
 
 
 def test_cli_imports_no_dataclasses():

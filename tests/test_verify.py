@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kramanujan.cli as cli
@@ -44,7 +44,8 @@ def largest_violation(c, e, lo, hi, store):
     probe = GapTheorem("candidate", 2, c, e)
     p, q = store.gap_arrays(lo, hi)
     inside = p >= lo  # threshold is taken at x = p, so straddle is excluded
-    hits = verify_mod._scan_chunk(probe, p[inside], q[inside], lo=2)  # ascending
+    pairs = zip(p[inside].tolist(), q[inside].tolist())
+    hits = verify_mod._prescreen(probe, pairs, 2)  # ascending
     return hits[-1][:2] if hits else None
 
 
@@ -101,7 +102,7 @@ def test_determinism_across_seams(monkeypatch):
     cases = [(CUSTOM_WEAK, 58837, 10**6, 36_275), (AXLER, AXLER.x0, 10**7, 0)]
     expected = [verify_theorem(t, lo, hi) for t, lo, hi, _ in cases]
     # small slices and segments put both kinds of seam inside both ranges
-    monkeypatch.setattr(verify_mod, "_SCAN_PAIRS", 1000)
+    monkeypatch.setattr(verify_mod, "_SCAN_ODDS", 1000)
     monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", 100_000)
     for (thm, lo, hi, count), want in zip(cases, expected):
         assert len(want.violations) == count
@@ -140,21 +141,21 @@ def test_float_margin_matches_full_recheck(full_recheck):
         assert want
 
 
-@pytest.mark.parametrize("scan_pairs", [1, 2])
+@pytest.mark.parametrize("scan_odds", [1, 2])
 @pytest.mark.parametrize("guard", [1.0, 1e-3])
 def test_exact_band_width_changes_no_violation(
-    monkeypatch, full_recheck, guard, scan_pairs
+    monkeypatch, full_recheck, guard, scan_odds
 ):
-    # guard 1.0 sends every gap to the exact check, 1e-3 a wide band; small
-    # segments put seam pairs in the range, and slices of one or two pairs a
-    # slice seam at every pair.  The items stay plain Python numbers, which
+    # guard 1.0 sends every gap past the floor to the exact check, 1e-3 a wide
+    # band; small segments put seam pairs in the range, and slices of one or two
+    # odds a slice seam inside every gap.  The items stay plain Python numbers, which
     # the CLI's row template needs
     for thm, want in full_recheck.items():
         default = verify_theorem(thm, *RECHECK_RANGE).violations
         with monkeypatch.context() as m:
             m.setattr(verify_mod, "PRESCREEN_GUARD", guard)
             m.setattr(primes_mod, "_SEGMENT_ODDS", 5000)
-            m.setattr(verify_mod, "_SCAN_PAIRS", scan_pairs)
+            m.setattr(verify_mod, "_SCAN_ODDS", scan_odds)
             got = verify_theorem(thm, *RECHECK_RANGE).violations
         assert got == default
         assert [(a, b) for a, b, _ in got] == want
@@ -214,22 +215,44 @@ def test_non_finite_floats_decided_exactly(store_10m, c, e, lo, hi):
 
 
 def _assert_streams_like_stored_table(thm, lo, hi):
-    # the pairs of a table sieved to hi, scanned as one slice
+    # every pair of a table sieved to hi, prescreened with no gap floor
     p, q = sieve_upto(hi).gap_arrays(lo, hi)
     report = verify_theorem(thm, lo, hi)
-    assert report.violations == verify_mod._scan_chunk(thm, p, q, lo)
+    pairs = zip(p.tolist(), q.tolist())
+    assert report.violations == verify_mod._prescreen(thm, pairs, lo)
     assert report.pairs_checked == len(p)
     return report
 
 
-@settings(max_examples=30, deadline=None)
+# floors of every size: 0 (every gap a candidate), a few bytes (the slice's
+# primes listed), a long zero run (found), and past every mask (c = 10^30,
+# whose floor is far past any bytes() length)
+FLOORS = [
+    *MIXED,
+    EVERY_GAP_FAILS,
+    GapTheorem("custom", 3, Fraction(1, 100), 1),
+    GapTheorem("custom", 3, Fraction(10**30), 1),
+]
+
+
+@settings(max_examples=60, deadline=None)
 @given(
-    thm=st.sampled_from(MIXED),
+    thm=st.sampled_from(FLOORS),
     odds=st.sampled_from([1, 8, 56, 1000]),
+    scan_odds=st.sampled_from([1, 3, 7, verify_mod._SCAN_ODDS]),
     ends=st.lists(st.integers(3, 20_000), min_size=2, max_size=2),
 )
-def test_streaming_matches_stored_table(thm, odds, ends):
-    with mock.patch.object(primes_mod, "_SEGMENT_ODDS", odds):
+# a floor of 0 with slice edges inside 1327 -> 1361; a zero run found across
+# slice edges inside 19609 -> 19661; a listed slice with a floor of 2 or 3; and
+# c = 10^30, whose floor, capped at MAX_GAP, asks for a run that fills the mask
+@example(thm=EVERY_GAP_FAILS, odds=56, scan_odds=7, ends=[1300, 1400])
+@example(thm=MIXED[1], odds=1000, scan_odds=7, ends=[19_000, 20_000])
+@example(thm=FLOORS[3], odds=8, scan_odds=3, ends=[1000, 3000])
+@example(thm=FLOORS[4], odds=1, scan_odds=1, ends=[3, 2000])
+def test_streaming_matches_stored_table(thm, odds, scan_odds, ends):
+    with mock.patch.object(primes_mod, "_SEGMENT_ODDS", odds), mock.patch.object(
+        verify_mod, "_SCAN_ODDS", scan_odds
+    ):
         _assert_streams_like_stored_table(thm, *sorted(ends))
 
 
@@ -254,13 +277,37 @@ def test_streaming_matches_stored_table(thm, odds, ends):
         pytest.param(1348, 1500, 8, id="lo-past-empty-segment-1331"),
     ],
 )
-# slices of one and of three pairs put slice seams beside the segment seams
-@pytest.mark.parametrize("scan_pairs", [1, 3])
-def test_streaming_edges(lo, hi, odds, scan_pairs, monkeypatch):
+# slices of one and of three odds put slice seams beside the segment seams
+@pytest.mark.parametrize("scan_odds", [1, 3])
+def test_streaming_edges(lo, hi, odds, scan_odds, monkeypatch):
     monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", odds)
-    monkeypatch.setattr(verify_mod, "_SCAN_PAIRS", scan_pairs)
+    monkeypatch.setattr(verify_mod, "_SCAN_ODDS", scan_odds)
     for thm in [*MIXED, EVERY_GAP_FAILS]:
         _assert_streams_like_stored_table(thm, lo, hi)
+
+
+def test_each_slice_floor_holds_on_its_pairs(monkeypatch):
+    # a slice's floor must hold from the x = max(p, lo) of its first pair, whose
+    # p precedes the slice when the gap straddles its edge, up to its last q
+    monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", 56)
+    monkeypatch.setattr(verify_mod, "_SCAN_ODDS", 7)
+    ends, gaps, lo = [], verify_mod._gaps, 1000
+    monkeypatch.setattr(  # 0: every pair is listed
+        GapTheorem, "gap_floor", lambda self, xa, xb: ends.append((xa, xb)) or 0
+    )
+
+    def spy(mask, start, b0, b1, half):
+        found = gaps(mask, start, b0, b1, half)
+        xa, xb = ends[-1]
+        assert all(xa <= max(p, lo) and q <= xb for p, q in found)
+        straddled.extend(p for p, _ in found if p < start + 2 * b0)
+        return found
+
+    straddled = []
+    monkeypatch.setattr(verify_mod, "_gaps", spy)
+    report = verify_theorem(EVERY_GAP_FAILS, lo, 1500)
+    assert len(report.violations) == report.pairs_checked == 71  # pi(1500) - pi(1000)
+    assert len(straddled) > 20
 
 
 def test_segments_below_lo_are_not_sieved(monkeypatch):
@@ -279,10 +326,10 @@ def test_segments_below_lo_are_not_sieved(monkeypatch):
     assert sorted(low for low in lows if low > 44) == list(range(1347, 2000, 16))
 
 
-@pytest.mark.parametrize("scan_pairs", [1, 3])
-def test_streaming_empty_last_segment(scan_pairs, monkeypatch):
+@pytest.mark.parametrize("scan_odds", [1, 3])
+def test_streaming_empty_last_segment(scan_odds, monkeypatch):
     monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", 56)
-    monkeypatch.setattr(verify_mod, "_SCAN_PAIRS", scan_pairs)
+    monkeypatch.setattr(verify_mod, "_SCAN_ODDS", scan_odds)
     last = primes_mod.segments(1359)[-1]  # [1347, 1359]
     assert primes_mod.segment_primes(last(), last.args[0]).max() < 1347
     for thm in MIXED:
@@ -313,12 +360,12 @@ def small_tables(records_script):
     small segments of the tests below."""
     tables = {}
 
-    def table(name):
+    def table(name, i=0, j=None):
         assert name == "segments.csv"
         odds = primes_mod._SEGMENT_ODDS
         if odds not in tables:
             tables[odds] = records_script.segment_rows(30_000)
-        return "", tables[odds]
+        return "", tables[odds][i:j]
 
     return table
 
@@ -357,11 +404,11 @@ def test_gate_passes_segments(small_tables, monkeypatch):
 
 
 @pytest.mark.parametrize("lo", [2_097_100, 2_097_150, 2_097_160])
-@pytest.mark.parametrize("scan_pairs", [1, 3])
-def test_seam_pair_at_production_size(lo, scan_pairs, monkeypatch):
+@pytest.mark.parametrize("scan_odds", [1, 3])
+def test_seam_pair_at_production_size(lo, scan_odds, monkeypatch):
     # the first seam, 3 + 2^21 = 2,097,155, lies inside the gap 2097143 -> 2097169
     assert primes_mod.segments(2_097_200)[1].args[1] == 2_097_155
-    monkeypatch.setattr(verify_mod, "_SCAN_PAIRS", scan_pairs)
+    monkeypatch.setattr(verify_mod, "_SCAN_ODDS", scan_odds)
     report = _assert_streams_like_stored_table(EVERY_GAP_FAILS, lo, 2_097_200)
     pairs = [(p, q) for p, q, _ in report.violations]
     assert pairs.count((2_097_143, 2_097_169)) == 1
@@ -430,7 +477,7 @@ def test_sieves_only_what_no_row_certifies(thm, lo, hi, sieved, pairs, monkeypat
 @pytest.mark.parametrize("thm,lo,hi", [case[:3] for case in SIEVED[1:]])
 def test_table_and_sieve_agree(thm, lo, hi, monkeypatch):
     want = verify_theorem(thm, lo, hi)
-    monkeypatch.setattr(verify_mod, "_table", lambda name: ("", []))  # sieve all
+    monkeypatch.setattr(verify_mod, "_table", lambda *args: ("", []))  # sieve all
     got = verify_theorem(thm, lo, hi)
     assert (got.pairs_checked, got.violations) == (want.pairs_checked, want.violations)
 
@@ -468,6 +515,10 @@ class TestSegmentTable:
         # pi(2*10^9) = 98,222,287, and 2 lies outside the segments
         assert sum(row[2] for row in rows) == 98_222_286
 
+    def test_rows_by_index(self, rows):
+        assert core._table("segments.csv", 5, 8)[1] == rows[5:8]
+        assert core._table("segments.csv", 953, 960)[1] == rows[953:]
+
     def test_largest_gap_is_max_gap(self, rows):
         assert max(row[3] for row in rows) == primes_mod.MAX_GAP
 
@@ -480,12 +531,13 @@ class TestSegmentTable:
 
 
 def test_only_verify_reads_the_segment_table(monkeypatch, capsys):
-    # compute and table read records.csv, bound reads no table
+    # compute and table read records.csv, bound reads no table, and verify
+    # parses only the rows of the segments it walks: here row 0
     read, table = [], core._table
 
-    def spy(name):
-        read.append(name)
-        return table(name)
+    def spy(name, *rows):
+        read.append((name, *rows))
+        return table(name, *rows)
 
     monkeypatch.setattr(core, "_table", spy)
     monkeypatch.setattr(verify_mod, "_table", spy)
@@ -497,35 +549,48 @@ def test_only_verify_reads_the_segment_table(monkeypatch, capsys):
         "verify --theorem axler --from 58837 --to 60000",
     ]:
         assert cli.main(argv.split()) == 0
-    assert read == ["records.csv"] * 3 + ["segments.csv"]
+    assert read == [("records.csv",)] * 3 + [("segments.csv", 0, 1)]
 
 
-def test_scan_chunk_accepts_zero_pairs():
-    empty = np.empty(0, dtype=np.int64)
-    assert verify_mod._scan_chunk(AXLER, empty, empty, AXLER.x0) == []
+def test_scan_accepts_zero_pairs():
+    # the odd mask of 3..11 and an empty slice at its end, listed or found
+    mask = bytearray(b"\1\1\1\0\1")
+    for half in [0, 9]:
+        assert verify_mod._gaps(mask, 3, 5, 5, half) == []
+    assert verify_mod._prescreen(AXLER, [], AXLER.x0) == []
 
 
 def _float_path_only(monkeypatch):
-    # a floor below every gap sends each slice to the float prescreen
+    # a floor below every gap sends each pair to the float prescreen
     monkeypatch.setattr(GapTheorem, "gap_floor", lambda self, xa, xb: -1)
 
 
-def test_int64_gate_above_two_to_the_31(monkeypatch):
-    # synthetic pairs past 2^31 with gaps 2..292; the allowance c*x/log^2 x is
-    # about 155 there and the floor 135, so the gate passes the slice of gaps
-    # up to 100 and sends the whole one to the prescreen
+def test_gap_floor_above_two_to_the_31():
+    # a synthetic mask past 2^31 with gaps 2..292; the allowance c*x/log^2 x is
+    # about 155 there and the floor 135, so the zero runs leave only the gaps
+    # past the floor to the prescreen, in slices of 7 odds or one, and the
+    # violations are those of every pair; a floor of 0 or -1 lists every pair
     thm = GapTheorem("custom", 2, Fraction(1, 30000), 2)
     gaps = np.random.default_rng(0).permutation(np.arange(2, 294, 2))
     q = 2**31 + 1 + np.cumsum(gaps)
     p = q - gaps
-    lo = int(p[0])
-    assert 100 < thm.gap_floor(lo, int(q[-1])) < gaps.max()
-    slices = [(p, q), (p[gaps <= 100], q[gaps <= 100])]
-    want = [verify_mod._prescreen(thm, a, b, lo) for a, b in slices]
-    assert want[0] and not want[1]
-    assert [verify_mod._scan_chunk(thm, a, b, lo) for a, b in slices] == want
-    _float_path_only(monkeypatch)
-    assert [verify_mod._scan_chunk(thm, a, b, lo) for a, b in slices] == want
+    start = lo = int(p[0])
+    floor = thm.gap_floor(lo, int(q[-1]))
+    assert 100 < floor < gaps.max()
+    mask = bytearray((int(q[-1]) - start) // 2 + 1)
+    for prime in [start, *q.tolist()]:
+        mask[(prime - start) // 2] = 1
+    pairs = list(zip(p.tolist(), q.tolist()))
+    want = verify_mod._prescreen(thm, pairs, lo)
+    assert want
+    for half in [floor // 2, 0, -1]:
+        for size in [7, len(mask)]:
+            got = []
+            for b0 in range(1, len(mask), size):
+                b1 = min(b0 + size, len(mask))
+                got += verify_mod._gaps(mask, start, b0, b1, half)
+            assert got == [(a, b) for a, b in pairs if b - a > 2 * half]
+            assert verify_mod._prescreen(thm, got, lo) == want
 
 
 def _reports(cases):
@@ -553,23 +618,28 @@ PARAM_SHAPES = [
 ]
 
 
-@pytest.mark.parametrize("scan_pairs", [verify_mod._SCAN_PAIRS, 1 << 16, 1000, 7])
-def test_floor_matches_float_path_on_param_shapes(scan_pairs, monkeypatch):
-    monkeypatch.setattr(verify_mod, "_SCAN_PAIRS", scan_pairs)
+@pytest.mark.parametrize("scan_odds", [verify_mod._SCAN_ODDS, 1 << 16, 1000, 7])
+def test_floor_matches_float_path_on_param_shapes(scan_odds, monkeypatch):
+    monkeypatch.setattr(verify_mod, "_SCAN_ODDS", scan_odds)
     want = _reports(PARAM_SHAPES)
     assert all(violations for violations, _ in want)
     _float_path_only(monkeypatch)
     assert _reports(PARAM_SHAPES) == want
 
 
-@pytest.mark.parametrize("thm,slices", [(AXLER, 2), (DUSART, 1), (TRUDGIAN, 3)])
-def test_slices_reaching_the_float_path(thm, slices, monkeypatch):
-    # of the 15-22 scan_chunk calls to 10^7, the exact floor passes all but
-    # these; a weaker floor sends more slices to the prescreen
-    prescreen = mock.Mock(wraps=verify_mod._prescreen)
-    monkeypatch.setattr(verify_mod, "_prescreen", prescreen)
+@pytest.mark.parametrize("thm,pairs", [(AXLER, 28), (DUSART, 3), (TRUDGIAN, 5)])
+def test_pairs_reaching_the_float_path(thm, pairs, monkeypatch):
+    # of the 450,000-660,000 pairs to 10^7, the exact floor passes all but
+    # these with no float; a weaker floor sends more pairs to the prescreen
+    seen, prescreen = [], verify_mod._prescreen
+
+    def spy(thm, gaps, lo):
+        seen.extend(gaps := list(gaps))
+        return prescreen(thm, gaps, lo)
+
+    monkeypatch.setattr(verify_mod, "_prescreen", spy)
     assert verify_theorem(thm, thm.x0, 10**7).ok
-    assert prescreen.call_count == slices
+    assert len(seen) == pairs
 
 
 def test_c_below_one_past_the_float_range():
@@ -606,6 +676,6 @@ def test_threshold_overflowing_below_e_to_the_e_is_exact(monkeypatch):
         "threshold_exceeds",
         lambda self, x, b: decided.append((x, b)) or real(self, x, b),
     )
-    got = verify_mod._prescreen(thm, p, q, 3)
+    got = verify_mod._prescreen(thm, zip(p.tolist(), q.tolist()), 3)
     assert (3, 5) in decided
     assert [(a, b) for a, b, _ in got] == exact == []
