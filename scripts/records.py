@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from kramanujan.core import breakpoints
-from kramanujan.primes import DEFAULT_SIEVE_BUDGET, segment_primes, segments, sieve_upto
+from kramanujan.primes import DEFAULT_SIEVE_BUDGET, segments, sieve_upto
 
 # certified_bound(FLOOR) is past the horizon, and the bound does not increase
 # with k, so every k whose bound is within the horizon exceeds FLOOR.
@@ -49,7 +49,7 @@ def segment_rows(horizon: int) -> list[tuple[int, int, int, int, int]]:
     rows = []
     for part in segments(horizon):
         start, low, high = part.args[:3]
-        primes = segment_primes(part(), start)
+        primes = np.frombuffer(part(), np.bool_).nonzero()[0] * 2 + start
         a = int(primes.searchsorted(low))  # the first prime the segment holds
         owned = primes[max(a - 1, 0) :]  # from the prime before it, if any
         gaps = np.diff(owned)

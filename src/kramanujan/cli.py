@@ -17,6 +17,7 @@ from itertools import chain, islice, repeat
 
 from . import core
 from .errors import DomainError, KRamanujanError, ResourceLimitError
+from .primes import record_prefix
 from .primes import sieve_upto  # noqa: F401  (perfbench wraps this binding)
 from .theorems import BUILTIN_THEOREMS, GapTheorem
 from .verify import verify_theorem
@@ -94,7 +95,7 @@ def cmd_compute(args) -> int:
     else:
         prime = core.brute_force_R(k, args.n, args.scan_limit)
         record["prime"] = prime
-        record["index"] = core.shared_store(args.scan_limit).prime_count(prime)
+        record["index"] = core.shared_store(prime).prime_count(prime)
         record["caveat"] = f"oracle result; verified up to scan limit {args.scan_limit}"
     _emit(record)
     return EXIT_OK
@@ -150,13 +151,15 @@ def cmd_table(args) -> int:
 
 def _table_rows(k_min: Fraction, index_limit: int) -> list:
     # breakpoints(k_min, index_limit): records.csv from its last row above k_min
-    # on, else a sieve (also for k_min <= 1 or a bound past the table's horizon)
+    # on, else a sieve of the prefix that holds every ratio above k_min (also
+    # for k_min <= 1 or a bound past the table's horizon)
     with suppress(DomainError, ResourceLimitError):
         _, rows = core.records_above(k_min)
         if not rows or index_limit >= rows[-1].index:
             return rows
-    store = core.shared_store(_table_sieve_limit(index_limit))
-    return core.breakpoints(k_min, index_limit, store)
+    limit = record_prefix(_table_sieve_limit(index_limit), k_min)
+    store = core.shared_store(limit)
+    return core.breakpoints(k_min, min(index_limit, store.count), store)
 
 
 def _table_sieve_limit(index_limit: int) -> int:

@@ -9,17 +9,18 @@ import os
 import re
 from contextlib import suppress
 from fractions import Fraction
-from itertools import count, islice
+from itertools import compress, count, islice
+from operator import sub
 from typing import NamedTuple
 
 from .errors import DomainError, InconclusiveError, RangeError, UnsupportedRangeError
 from .errors import ResourceLimitError
-from .primes import PrimeStore, sieve_upto
+from .primes import PrimeStore, record_prefix, sieve_upto
 from .theorems import BUILTIN_THEOREMS, GapTheorem
 
 _RATIONAL = re.compile(r"^\s*(\d+(?:\.\d{1,15})?|\d+/0*[1-9]\d*)\s*$")
 
-# Gap ratios per float chunk of breakpoints.  Semantically invisible (tested).
+# Gap ratios per cut of breakpoints.  Semantically invisible (tested).
 _RATIO_CHUNK = 1 << 16
 
 # The largest sieve built so far.  A bigger store answers any smaller
@@ -152,13 +153,17 @@ def brute_force_R(k: Fraction, n: int, scan_limit: int) -> int:
         raise DomainError(f"threshold k must exceed 1, got {k}")
     if scan_limit < 4:
         raise RangeError(f"scan limit {scan_limit} too small")
-    store = shared_store(scan_limit)
-    count = store.prime_count(scan_limit)  # the cached store may reach further
+    store = shared_store(record_prefix(scan_limit, k, n))
+    # a failing j has k*p_j < p_{j+n} <= record_prefix(scan_limit, k, n), so a
+    # store short of scan_limit holds every failing j, each a critical point
+    short = store.limit < scan_limit
+    count = store.prime_count(store.limit if short else scan_limit)
     if n > count:
         raise InconclusiveError(f"fewer than {n} primes below scan limit {scan_limit}")
-    last = store.prime_count(scan_limit / k)  # the last critical point k*p_j
-    if 0 < last <= count - n:  # else p_{last+n} > scan_limit >= k*p_last fails
-        rows = breakpoints(k, last + n, store, n)
+    last = store.prime_count(min(scan_limit / k, store.limit))  # the last k*p_j
+    # unless p_{last+n} > scan_limit >= k*p_last, and then j = last fails
+    if 0 < last and (short or last <= count - n):
+        rows = breakpoints(k, min(last + n, count), store, n)
         last = rows[-1].index - n if rows else 0
     p = store.nth_prime(last) if last else 0
     if 2 * k * p > scan_limit:
@@ -178,31 +183,24 @@ def breakpoints(
     exceeds k_min strictly.  Output is sorted by index, so ratios strictly
     decrease along the list.
 
-    Float prescreen, then exact confirmation: float(k_min) and each float
-    ratio of two integers below 2^53 are correctly rounded, and rounding is
-    monotone, so a record's float ratio is >= float(k_min) and equals the
-    float maximum of the ratios after it; only those reach the big-int check.
+    Cut, then exact: right to left, a chunk of ratios whose smallest p_(a-n)
+    is p_min can beat the best ratio b = num/den so far only where
+    p_a - p_(a-n) > (num - den) * p_min // den; only those reach the big-int check.
     """
     if not n + 1 <= index_limit <= store.count:
         raise RangeError(f"index limit {index_limit} outside {n + 1}..{store.count}")
-    import numpy as np
-    primes = store.primes[:index_limit]
-    # every ratio is below the last prime, and a huge k_min overflows a float
-    top = float(min(k_min, int(primes[-1])))  # the float maximum, right to left
+    primes = store.primes
     out: list[BreakpointEntry] = []
-    best_num, best_den = k_min.numerator, k_min.denominator  # ratio to beat
-    for s in reversed(range(0, index_limit - n, _RATIO_CHUNK)):
-        chunk = primes[s : s + _RATIO_CHUNK + n]
-        ratios = np.divide(chunk[n:], chunk[:-n])
-        near = np.flatnonzero(ratios >= top)
-        r = ratios[near]
-        suffix_max = np.maximum.accumulate(r[::-1])[::-1]
-        for j in reversed((near[r == suffix_max] + s + n).tolist()):  # p_a = primes[j]
-            pa, pa_prev = int(primes[j]), int(primes[j - n])
-            if pa * best_den > best_num * pa_prev:
+    num, den = k_min.numerator, k_min.denominator  # the ratio to beat
+    for s in reversed(range(n, index_limit, _RATIO_CHUNK)):  # p_a = primes[j], j >= s
+        e = min(s + _RATIO_CHUNK, index_limit)
+        gaps = map(sub, primes[s:e][::-1], primes[s - n : e - n][::-1])
+        cut = (num - den) * primes[s - n] // den
+        for j in compress(range(e - 1, s - 1, -1), map(cut.__lt__, gaps)):
+            pa, pa_prev = primes[j], primes[j - n]
+            if pa * den > num * pa_prev:
                 out.append(BreakpointEntry(j + 1, pa, pa_prev, Fraction(pa, pa_prev)))
-                best_num, best_den = pa, pa_prev
-        top = max(suffix_max[:1], default=top)  # near holds only ratios >= top
+                num, den = pa, pa_prev
     out.reverse()
     return out
 

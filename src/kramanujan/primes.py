@@ -7,8 +7,12 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import partial
 from itertools import compress
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, RangeError, ResourceLimitError
+
+if TYPE_CHECKING:
+    from array import array
 
 # Hard cap on sieve limits; keeps the prime table well under a few GiB.
 DEFAULT_SIEVE_BUDGET = 2_000_000_000
@@ -31,15 +35,15 @@ _WHEEL = (3, 5, 7, 11, 13)
 class PrimeStore:
     """Immutable, 1-indexed table of all primes up to ``limit``.
 
-    Index n holds p_n with p_1 = 2.  Construct via :func:`sieve_upto`.
+    Index n holds p_n with p_1 = 2; ``primes`` is a read-only memoryview of
+    4-byte unsigned ints.  Construct via :func:`sieve_upto`.
     """
 
     __slots__ = ("limit", "primes")
 
-    def __init__(self, limit: int, primes: np.ndarray):
+    def __init__(self, limit: int, primes: array):
         self.limit = limit
-        self.primes = primes
-        primes.setflags(write=False)
+        self.primes = memoryview(primes).toreadonly()
 
     @property
     def count(self) -> int:
@@ -50,14 +54,14 @@ class PrimeStore:
         fx = int(x)
         if fx > self.limit:
             raise DomainError(f"pi({x}) needs a sieve past {self.limit}")
-        return int(self.primes.searchsorted(fx, side="right"))
+        return bisect_right(self.primes, fx)
 
     def nth_prime(self, n: int) -> int:
         if not 1 <= n <= self.count:
             raise RangeError(f"prime index {n} outside 1..{self.count}")
-        return int(self.primes[n - 1])
+        return self.primes[n - 1]
 
-    def gap_arrays(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    def gap_arrays(self, lo: int, hi: int) -> tuple[memoryview, memoryview]:
         """Consecutive prime pairs as arrays (p_j, p_{j+1}), lo <= p_j <= hi.
 
         Also includes the straddling pair with p_j < lo < p_{j+1} when one
@@ -67,10 +71,9 @@ class PrimeStore:
             raise RangeError(f"bad gap range [{lo}, {hi}] for limit {self.limit}")
         # 0-based index of the first pair: the prime starting the gap that
         # covers lo (straddling pair included); lo >= 2 = p_1 keeps it >= 0.
-        lo_idx = int(self.primes.searchsorted(lo, side="right")) - 1
+        lo_idx = bisect_right(self.primes, lo) - 1
         # pairs run while p_j <= hi and p_{j+1} is in the store
-        hi_idx = int(self.primes.searchsorted(hi, side="right"))
-        hi_idx = min(hi_idx, self.count - 1)
+        hi_idx = min(bisect_right(self.primes, hi), self.count - 1)
         return self.primes[lo_idx:hi_idx], self.primes[lo_idx + 1 : hi_idx + 1]
 
     def __repr__(self) -> str:
@@ -86,14 +89,8 @@ def segments(limit: int) -> list[partial]:
     """One zero-argument sieve per segment [low, high) of [3, limit], in order,
     each taking start = max(3, low - MAX_GAP), low and high as its first three
     arguments and returning the odd mask of [start, high) as a bytearray (byte
-    i: whether start + 2i is prime); the only range and budget check of a sieve."""
-    if limit < 0:
-        raise RangeError("sieve limit must be non-negative")
-    if limit > DEFAULT_SIEVE_BUDGET:
-        raise ResourceLimitError(
-            f"sieve limit {limit} exceeds budget {DEFAULT_SIEVE_BUDGET}"
-        )
-    if limit < 3:
+    i: whether start + 2i is prime)."""
+    if _budgeted(limit) < 3:
         return []
     root = math.isqrt(limit)
     flags = bytearray([1]) * (root + 1)  # a plain sieve of the base primes
@@ -112,13 +109,27 @@ def segments(limit: int) -> list[partial]:
     ]
 
 
-def segment_primes(mask: bytearray, start: int) -> np.ndarray:
-    """The primes start + 2i of an odd mask from start."""
-    import numpy as np
-    found = np.frombuffer(mask, np.bool_).nonzero()[0]
-    found *= 2  # in place: one temporary per segment
-    found += start
-    return found
+def record_prefix(limit: int, k: Fraction, n: int = 1) -> int:
+    """A sieve limit that holds every stride-n ratio p_a/p_(a-n) > k with p_a <=
+    limit (all of limit for k <= 1): below the budget p_a - p_(a-n) <= n*MAX_GAP,
+    so such a ratio has p_(a-n) < n*MAX_GAP/(k - 1) and p_a at most the result.
+    limit itself must be within the budget."""
+    _budgeted(limit)
+    if k <= 1:
+        return limit
+    num, den = k.numerator, k.denominator
+    return min(limit, n * MAX_GAP * den // (num - den) + n * MAX_GAP)
+
+
+def _budgeted(limit: int) -> int:
+    """limit, if a sieve may reach it: the one range and budget check."""
+    if limit < 0:
+        raise RangeError("sieve limit must be non-negative")
+    if limit > DEFAULT_SIEVE_BUDGET:
+        raise ResourceLimitError(
+            f"sieve limit {limit} exceeds budget {DEFAULT_SIEVE_BUDGET}"
+        )
+    return limit
 
 
 def _segment(start: int, low: int, high: int, base: list, wheel: bytes) -> bytearray:
@@ -139,19 +150,12 @@ def _segment(start: int, low: int, high: int, base: list, wheel: bytes) -> bytea
     return mask
 
 
-def _sieve(limit: int) -> np.ndarray:
-    """Primes <= limit: 2, then the odd masks of segments(limit)."""
-    import numpy as np
+def _sieve(limit: int) -> array:
+    """Primes <= limit: 2, then the odd masks of segments(limit) from each low."""
+    from array import array  # a shared library: a call that never sieves skips it
     parts = segments(limit)
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    # Rosser-Schoenfeld: pi(x) < 1.25506 x / log x for x > 1.
-    out = np.empty(int(1.25506 * limit / math.log(limit)) + 1, dtype=np.int64)
-    out[0] = 2
-    count = 1
+    out = array("I", [2] if limit >= 2 else [])
     for part in parts:
-        found = segment_primes(part(), part.args[0])
-        found = found[found.searchsorted(part.args[1]) :]  # from low on
-        out[count : count + len(found)] = found
-        count += len(found)
-    return out[:count]  # a view: the unwritten tail is never paged in
+        start, low, high = part.args[:3]
+        out.extend(compress(range(low, high, 2), part()[(low - start) // 2 :]))
+    return out

@@ -39,7 +39,7 @@ def critical_point_R(k, n, scan_limit):
     if scan_limit < 4:
         raise RangeError(f"scan limit {scan_limit} too small")
     store = shared_store(scan_limit)
-    primes = store.primes
+    primes = np.asarray(store.primes, dtype=np.int64)
     num, den = k.numerator, k.denominator
     if n > store.prime_count(scan_limit):
         raise InconclusiveError(f"fewer than {n} primes below scan limit {scan_limit}")

@@ -532,6 +532,11 @@ def test_verify_custom_c_zero_domain_exit(capsys):
         ["compute", "--k", "1.00000005"],  # axler's 125-digit bound
         # past the float range, at a k_min whose bound is past records.csv
         ["table", "--k-min", "1.00001", "--index-limit", "1" + "0" * 400],
+        # one past pi(2e9) and past the budget by one: each prefix (29,200,292
+        # and 2,920,292) is within the budget, but the full limit decides
+        ["table", "--k-min", "1.00001", "--index-limit", "98222288"],
+        ["compute", "--k", "1.0001", "--method", "oracle", "--scan-limit",
+         str(DEFAULT_SIEVE_BUDGET + 1)],
     ],
 )
 def test_sieve_budget_exit_5(capsys, argv):
@@ -842,7 +847,7 @@ def test_module_entry_point_under_cprofile(tmp_path):
 
 
 def test_cli_imports_no_mpmath():
-    # numpy is the only runtime dependency; decimal encloses every real
+    # the package needs only the standard library; decimal encloses every real
     code = (
         "import sys, kramanujan.cli;"
         "print([m for m in sys.modules if 'mpmath' in m])"
@@ -854,8 +859,8 @@ def test_cli_imports_no_mpmath():
 
 def test_cli_starts_without_numpy():
     # compute and table at the paper's k_min read records.csv, bound is exact
-    # decimal arithmetic, and verify scans bytearray masks: a verify that sieves
-    # two segments, and a violating one, load neither numpy nor a pool
+    # decimal arithmetic, the oracle and a table that sieves read an array of
+    # the masks, and verify scans the masks: no call loads numpy or a pool
     code = "\n".join([
         "import sys",
         "from kramanujan.cli import main",
@@ -864,6 +869,13 @@ def test_cli_starts_without_numpy():
         "assert main(['bound', '--k', '1.0001', '--theorem', 'dusart']) == 0",
         "assert main(['table']) == 0",
         "assert main(['table', '--index-limit', '98222287']) == 0",
+        "print([m for m in heavy if m in sys.modules], file=sys.stderr)",
+        "assert main(['compute', '--k', '2', '--n', '9', '--method', 'oracle',"
+        " '--scan-limit', '1000']) == 0",
+        "print([m for m in heavy if m in sys.modules], file=sys.stderr)",
+        "assert main(['table', '--index-limit', '27', '--format', 'json']) == 0",
+        "print([m for m in heavy if m in sys.modules], file=sys.stderr)",
+        "assert main(['table', '--k-min', '1', '--index-limit', '1000']) == 0",
         "print([m for m in heavy if m in sys.modules], file=sys.stderr)",
         "assert main(['verify', '--theorem', 'axler', '--from', '58837',"
         " '--to', '5000000', '--jobs', '2']) == 0",
@@ -874,7 +886,18 @@ def test_cli_starts_without_numpy():
     ])
     proc = run_fresh(sys.executable, "-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "[]\n[]\n[]\n"
+    assert proc.stderr == "[]\n" * 6
+
+
+def test_no_module_imports_numpy():
+    src = Path(cli.__file__).parent
+    imports = [
+        f"{path.name}: {line.strip()}"
+        for path in sorted(src.glob("*.py"))
+        for line in path.read_text().splitlines()
+        if re.search(r"^\s*(import|from)\s+numpy\b", line)
+    ]
+    assert imports == []
 
 
 def test_cli_imports_no_dataclasses():

@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_left
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -42,9 +43,8 @@ PAPER_K = Fraction("1.0008968291")
 
 def store_gap_ratio(k, store):
     """True when k's lowest terms are p_n over p_{n-1} for two primes of the store."""
-    primes = store.primes
-    j = int(primes.searchsorted(k.denominator))
-    return primes[j : j + 2].tolist() == [k.denominator, k.numerator]
+    j = bisect_left(store.primes, k.denominator)
+    return store.primes[j : j + 2].tolist() == [k.denominator, k.numerator]
 
 
 def sieve_first_k_ramanujan(k):
@@ -239,16 +239,21 @@ def _outcome(f, *args):
         return type(e), str(e)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
     t=st.floats(min_value=math.log(1e-5), max_value=math.log(10)),
     n=st.one_of(st.integers(1, 20), st.integers(1, 3000)),
     scan_limit=st.integers(4, 2_000_000),
+    cached=st.booleans(),
 )
-def test_brute_force_matches_the_critical_point_scan(store_10m, t, n, scan_limit):
-    # both read a cached store past scan_limit, as after a larger query
+def test_brute_force_matches_the_critical_point_scan(
+    store_10m, t, n, scan_limit, cached
+):
+    # brute_force_R reads a cached store past scan_limit, as after a larger
+    # query, or sieves its own prefix, often short of scan_limit; the
+    # reference then sieves all of scan_limit
     k = 1 + Fraction(math.exp(t))
-    with mock.patch.object(core, "_shared", store_10m):
+    with mock.patch.object(core, "_shared", store_10m if cached else None):
         assert _outcome(brute_force_R, k, n, scan_limit) == _outcome(
             critical_point_R, k, n, scan_limit
         )
@@ -311,7 +316,7 @@ class TestBreakpoints:
 
     def test_float_cut_at_the_last_row(self, store_60k):
         # k rounds to the same float as the 44th row's ratio 58889/58831,
-        # yet lies below it, so the unguarded float cut must keep that row
+        # yet lies below it, so the exact cut must keep that row
         last = Fraction(58889, 58831)
         below = last - Fraction(1, 10**18)
         assert float(below) == float(last)
@@ -333,7 +338,7 @@ def test_breakpoints_independent_of_ratio_chunk(chunk, store_60k, monkeypatch):
 
 
 def test_breakpoints_peak_is_a_fraction_of_the_store(store_21m):
-    # k_min = 1 passes every ratio through the first float cut
+    # k_min = 1 passes every ratio of the last chunk through the cut
     tracemalloc.start()
     try:
         rows = breakpoints(Fraction(1), store_21m.count, store_21m)

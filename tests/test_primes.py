@@ -60,6 +60,29 @@ def test_sieve_budget():
         sieve_upto(DEFAULT_SIEVE_BUDGET + 1)
 
 
+def test_record_prefix():
+    # records.csv's prefix; R_9^(2)'s is 9 * 292 * 2; k <= 1 keeps the limit
+    assert primes_mod.record_prefix(2 * 10**9, Fraction(100001, 100000)) == 29_200_292
+    assert primes_mod.record_prefix(10**6, Fraction(100001, 100000)) == 10**6
+    assert primes_mod.record_prefix(10**6, Fraction(2), 9) == 5256
+    for k in (Fraction(1), Fraction(1, 2)):
+        assert primes_mod.record_prefix(1000, k) == 1000
+    # the full limit is checked, though its prefix (584) is in budget
+    with pytest.raises(ResourceLimitError, match="budget"):
+        primes_mod.record_prefix(DEFAULT_SIEVE_BUDGET + 1, Fraction(2))
+    with pytest.raises(RangeError):
+        primes_mod.record_prefix(-1, Fraction(2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 9])
+def test_record_prefix_holds_every_ratio_above_k(store_60k, n):
+    ps = store_60k.primes.tolist()
+    for k in map(Fraction, ["1.1", "1.01", "1.001", "1.0008968291", "1.0002"]):
+        prefix = primes_mod.record_prefix(store_60k.limit, k, n)
+        above = [q for p, q in zip(ps, ps[n:]) if q * k.denominator > k.numerator * p]
+        assert above and max(above) <= prefix
+
+
 @pytest.mark.parametrize("limit", [*range(101), 1000, 100_000])
 def test_sieve_matches_trial_division(limit):
     assert sieve_upto(limit).primes.tolist() == trial_division_primes(limit)
@@ -192,5 +215,7 @@ def test_gap_pairs_bad_ranges(store_60k):
 
 
 def test_store_is_immutable(store_60k):
-    with pytest.raises(ValueError):
+    # a read-only memoryview of 4-byte unsigned ints
+    assert (store_60k.primes.format, store_60k.primes.itemsize) == ("I", 4)
+    with pytest.raises(TypeError, match="read-only"):
         store_60k.primes[0] = 4

@@ -18,9 +18,10 @@ from kramanujan import (
     first_k_ramanujan,
 )
 from kramanujan import cli, core
+from kramanujan import primes as primes_mod
 from kramanujan.core import shared_store
 
-from reference import critical_point_R
+from reference import critical_point_R, reference_breakpoints
 
 # certified bound for every k >= 1.0008968291 (the paper's horizon)
 FAST_BOUND = 58890
@@ -187,3 +188,33 @@ def test_table_rows_from_the_record_table(store_21m, data):
     if a_star > 2:  # one index short of a*, row a* is out of range: the table sieves
         below = breakpoints(k_min, a_star - 1, store_21m)
         assert cli._table_rows(k_min, a_star - 1) == below != rows
+
+
+def _k_min_near_one(data, store):
+    # k_min - 1 log-uniform in [1e-7, 0.1], or a gap ratio of the store (all
+    # within 1.1 from p_32/p_31 = 131/127 on), or just below one
+    if data.draw(st.booleans()):
+        t = data.draw(st.floats(min_value=math.log(1e-7), max_value=math.log(0.1)))
+        return 1 + Fraction(math.exp(t))
+    a = data.draw(st.integers(min_value=32, max_value=store.count))
+    r = Fraction(store.nth_prime(a), store.nth_prime(a - 1))
+    return r - data.draw(st.sampled_from([0, 1])) * Fraction(1, 10**18)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_table_rows_sieve_only_the_prefix(store_21m, data):
+    # for k_min in (1, 1.1] and N <= pi(2e7), the rows read from records.csv or
+    # found on a fresh sieve of the prefix are the records on the whole sieve
+    n_max = store_21m.prime_count(2 * 10**7)
+    k_min = _k_min_near_one(data, store_21m)
+    assert 1 < k_min <= Fraction(11, 10)
+    t = data.draw(st.floats(min_value=math.log(2), max_value=math.log(n_max)))
+    n = max(2, min(round(math.exp(t)), n_max))
+    with mock.patch.object(core, "_shared", None):
+        rows = cli._table_rows(k_min, n)
+        # nothing sieved (records.csv decided) or exactly the prefix
+        sieved = core._shared.limit if core._shared else None
+    prefix = primes_mod.record_prefix(cli._table_sieve_limit(n), k_min)
+    assert sieved in (None, prefix)
+    assert rows == reference_breakpoints(k_min, n, store_21m)
