@@ -22,9 +22,10 @@ facts give the rows:
    horizon, a ratio exceeds the floor only where p_(a-1) < G/(floor - 1),
    and every ratio past that point is at most the floor.
 2. So the rows are breakpoints(floor) on the primes up to
-   G/(floor - 1) + G.  G is the largest gap of segments.csv: 292, after
-   1,453,168,141, below 2*10^9 (Oliveira e Silva, Herzog and Pardi, Math.
-   Comp. 83, 2014), so the prefix ends at 29,200,292.
+   G/(floor - 1) + G, the package's primes.record_prefix with G = MAX_GAP.
+   The largest gap of segments.csv is checked to be within MAX_GAP: it is
+   292, after 1,453,168,141, below 2*10^9 (Oliveira e Silva, Herzog and
+   Pardi, Math. Comp. 83, 2014), so the prefix ends at 29,200,292.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from pathlib import Path
 import numpy as np
 
 from kramanujan.core import breakpoints
-from kramanujan.primes import DEFAULT_SIEVE_BUDGET, segments, sieve_upto
+from kramanujan.primes import DEFAULT_SIEVE_BUDGET, MAX_GAP, record_prefix, segments
+from kramanujan.primes import sieve_upto
 
 # certified_bound(FLOOR) is past the horizon, and the bound does not increase
 # with k, so every k whose bound is within the horizon exceeds FLOOR.
@@ -59,15 +61,6 @@ def segment_rows(horizon: int) -> list[tuple[int, int, int, int, int]]:
     return rows
 
 
-def records(floor: Fraction, horizon: int, gap: int) -> list[tuple[int, int, int]]:
-    """Rows (a, p_a, p_(a-1)) in index order, for floor > 1 and gap the largest
-    prime gap up to the horizon."""
-    num, den = floor.numerator, floor.denominator
-    store = sieve_upto(min(horizon, gap * den // (num - den) + gap))
-    rows = breakpoints(floor, store.count, store)
-    return [(r.index, r.prime, r.prev_prime) for r in rows]
-
-
 def write_table(path: Path, header: str, rows: list[tuple[int, ...]]) -> None:
     lines = [header, *(",".join(map(str, r)) for r in rows)]
     path.write_text("".join(line + "\n" for line in lines))
@@ -77,7 +70,10 @@ def main(argv: list[str]) -> int:
     out = Path(argv[0]) if argv else Path(__file__).parents[1] / "src" / "kramanujan"
     floor, horizon = FLOOR, DEFAULT_SIEVE_BUDGET
     parts = segment_rows(horizon)
-    rows = records(floor, horizon, max(r[3] for r in parts))
+    if (gap := max(r[3] for r in parts)) > MAX_GAP:  # record_prefix's G
+        raise RuntimeError(f"a prime gap of {gap} below {horizon} exceeds {MAX_GAP}")
+    store = sieve_upto(record_prefix(horizon, floor))
+    rows = [r[:3] for r in breakpoints(floor, store.count, store)]
     write_table(out / "segments.csv", "low,high,primes,gap,prev", parts)
     header = f"floor {floor.numerator}/{floor.denominator} horizon {horizon}"
     write_table(out / "records.csv", header, rows)

@@ -11,13 +11,11 @@ import argparse
 import json
 import math
 import sys
-from contextlib import suppress
 from fractions import Fraction
 from itertools import chain, islice, repeat
 
 from . import core
-from .errors import DomainError, KRamanujanError, ResourceLimitError
-from .primes import record_prefix
+from .errors import KRamanujanError
 from .primes import sieve_upto  # noqa: F401  (perfbench wraps this binding)
 from .theorems import BUILTIN_THEOREMS, GapTheorem
 from .verify import verify_theorem
@@ -93,9 +91,8 @@ def cmd_compute(args) -> int:
         if answer.k_equals_gap_ratio:
             record["k_equals_gap_ratio"] = True
     else:
-        prime = core.brute_force_R(k, args.n, args.scan_limit)
-        record["prime"] = prime
-        record["index"] = core.shared_store(prime).prime_count(prime)
+        prime_index = core.brute_force_R(k, args.n, args.scan_limit)
+        record["prime"], record["index"] = prime_index
         record["caveat"] = f"oracle result; verified up to scan limit {args.scan_limit}"
     _emit(record)
     return EXIT_OK
@@ -121,7 +118,7 @@ def cmd_table(args) -> int:
     k_min = core.parse_rational(args.k_min)
     if args.index_limit < 2:
         raise ValueError("--index-limit must be >= 2")
-    rows = _table_rows(k_min, args.index_limit)
+    rows = core.table_rows(k_min, args.index_limit)
     if args.format == "csv":
         _write(chain(["n,a,prime,prev_prime,ratio_num,ratio_den\n"], (
             f"{n},{r.index},{r.prime},{r.prev_prime},"
@@ -147,28 +144,6 @@ def cmd_table(args) -> int:
             }
         )
     return EXIT_OK
-
-
-def _table_rows(k_min: Fraction, index_limit: int) -> list:
-    # breakpoints(k_min, index_limit): records.csv from its last row above k_min
-    # on, else a sieve of the prefix that holds every ratio above k_min (also
-    # for k_min <= 1 or a bound past the table's horizon)
-    with suppress(DomainError, ResourceLimitError):
-        _, rows = core.records_above(k_min)
-        if not rows or index_limit >= rows[-1].index:
-            return rows
-    limit = record_prefix(_table_sieve_limit(index_limit), k_min)
-    store = core.shared_store(limit)
-    return core.breakpoints(k_min, min(index_limit, store.count), store)
-
-
-def _table_sieve_limit(index_limit: int) -> int:
-    # p_n < n(log n + log log n) for n >= 6; n = 2..5 give 16, 19, 22 and 26,
-    # each at least p_5 = 11.  Up to n = pi(2 * 10^9) = 98,222,287 (published)
-    # p_n <= 2 * 10^9, below the formula from n = 94,032,343.  n stops at 2^53.
-    n = float(min(index_limit, 2**53))
-    limit = int(n * (math.log(n) + math.log(math.log(n)))) + 16
-    return min(limit, 2 * 10**9) if index_limit <= 98_222_287 else limit
 
 
 def cmd_verify(args) -> int:

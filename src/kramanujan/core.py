@@ -15,17 +15,13 @@ from typing import NamedTuple
 
 from .errors import DomainError, InconclusiveError, RangeError, UnsupportedRangeError
 from .errors import ResourceLimitError
-from .primes import PrimeStore, record_prefix, sieve_upto
+from .primes import PrimeStore, nth_prime_limit, record_prefix, sieve_upto
 from .theorems import BUILTIN_THEOREMS, GapTheorem
 
 _RATIONAL = re.compile(r"^\s*(\d+(?:\.\d{1,15})?|\d+/0*[1-9]\d*)\s*$")
 
 # Gap ratios per cut of breakpoints.  Semantically invisible (tested).
 _RATIO_CHUNK = 1 << 16
-
-# The largest sieve built so far.  A bigger store answers any smaller
-# request identically because all searches are index-bounded.
-_shared: PrimeStore | None = None
 
 
 def parse_rational(text: str) -> Fraction:
@@ -64,15 +60,8 @@ class Answer(NamedTuple):
 
 
 def shared_store(limit: int) -> PrimeStore:
-    """Cached sieve reaching at least ``limit``.
-
-    The cached store is reused for any request it covers; otherwise exactly
-    ``limit`` is sieved and replaces it.
-    """
-    global _shared
-    if _shared is None or _shared.limit < limit:
-        _shared = sieve_upto(limit)
-    return _shared
+    """All primes <= limit: the one sieve of a record search, table or oracle."""
+    return sieve_upto(limit)
 
 
 def cor_bound(k: Fraction, thm: GapTheorem) -> int:
@@ -130,6 +119,18 @@ def records_above(k: Fraction) -> tuple[int, list[BreakpointEntry]]:
     return bound, [BreakpointEntry(a, p, q, Fraction(p, q)) for a, p, q in above]
 
 
+def table_rows(k_min: Fraction, index_limit: int) -> list[BreakpointEntry]:
+    """breakpoints(k_min, index_limit): the rows of records.csv when they decide
+    it, else one search on a sieve of the prefix that holds every ratio above
+    k_min (also for k_min <= 1 or a bound past the table's horizon)."""
+    with suppress(DomainError, ResourceLimitError):
+        _, rows = records_above(k_min)
+        if not rows or index_limit >= rows[-1].index:
+            return rows
+    store = shared_store(record_prefix(nth_prime_limit(index_limit), k_min))
+    return breakpoints(k_min, min(index_limit, store.count), store)
+
+
 def _table(name: str, i=0, j=None) -> tuple[str, list[tuple[int, ...]]]:
     """The header line and integer rows (all, or rows i to j - 1) of a committed
     table that scripts/records.py writes: records.csv or segments.csv."""
@@ -137,8 +138,9 @@ def _table(name: str, i=0, j=None) -> tuple[str, list[tuple[int, ...]]]:
         return f.readline(), [tuple(map(int, r.split(","))) for r in islice(f, i, j)]
 
 
-def brute_force_R(k: Fraction, n: int, scan_limit: int) -> int:
-    """R_n^(k) from the critical points k*p_j <= scan_limit.
+def brute_force_R(k: Fraction, n: int, scan_limit: int) -> tuple[int, int]:
+    """R_n^(k) = p_index as (prime, index), from the critical points
+    k*p_j <= scan_limit.
 
     The deficiency D(x) = pi(x) - pi(x/k) can only drop where pi(x/k) jumps,
     at x = k*p_j, and there D < n iff p_{j+n} > k*p_j.  The last failing j is
@@ -156,8 +158,7 @@ def brute_force_R(k: Fraction, n: int, scan_limit: int) -> int:
     store = shared_store(record_prefix(scan_limit, k, n))
     # a failing j has k*p_j < p_{j+n} <= record_prefix(scan_limit, k, n), so a
     # store short of scan_limit holds every failing j, each a critical point
-    short = store.limit < scan_limit
-    count = store.prime_count(store.limit if short else scan_limit)
+    short, count = store.limit < scan_limit, store.count
     if n > count:
         raise InconclusiveError(f"fewer than {n} primes below scan limit {scan_limit}")
     last = store.prime_count(min(scan_limit / k, store.limit))  # the last k*p_j
@@ -170,7 +171,7 @@ def brute_force_R(k: Fraction, n: int, scan_limit: int) -> int:
         raise InconclusiveError(f"last failing point k*{p} is above {scan_limit}/2")
     # From k*p_j on, pi(x/k) = j up to the next critical point, which passes,
     # so D(x) >= n exactly from p_{n+j} on.
-    return store.nth_prime(n + last)
+    return store.nth_prime(n + last), n + last
 
 
 def breakpoints(

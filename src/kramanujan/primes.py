@@ -121,6 +121,19 @@ def record_prefix(limit: int, k: Fraction, n: int = 1) -> int:
     return min(limit, n * MAX_GAP * den // (num - den) + n * MAX_GAP)
 
 
+def nth_prime_limit(n: int) -> int:
+    """A sieve limit that reaches p_n, within the budget exactly for the n up
+    to pi(DEFAULT_SIEVE_BUDGET) = 98,222,287 (published).
+
+    p_n < n(log n + log log n) for n >= 6; n = 2..5 give 16, 19, 22 and 26,
+    each at least p_5 = 11.  Up to n = 98,222,287, p_n <= the budget, which
+    is below the formula from n = 94,032,343.  n stops at 2^53.
+    """
+    x = float(min(n, 2**53))
+    limit = int(x * (math.log(x) + math.log(math.log(x)))) + 16
+    return min(limit, DEFAULT_SIEVE_BUDGET) if n <= 98_222_287 else limit
+
+
 def _budgeted(limit: int) -> int:
     """limit, if a sieve may reach it: the one range and budget check."""
     if limit < 0:

@@ -6,7 +6,6 @@ from fractions import Fraction
 import numpy as np
 
 from kramanujan import BreakpointEntry, DomainError, InconclusiveError, RangeError
-from kramanujan.core import shared_store
 
 
 def reference_breakpoints(k_min, index_limit, store, n=1):
@@ -23,9 +22,10 @@ def reference_breakpoints(k_min, index_limit, store, n=1):
     return out
 
 
-def critical_point_R(k, n, scan_limit):
-    """R_n^(k) by an exhaustive critical-point scan, with the checks, errors
-    and messages of core.brute_force_R.
+def critical_point_R(k, n, scan_limit, store):
+    """R_n^(k) = p_index as (prime, index) by an exhaustive critical-point scan
+    of a store reaching scan_limit, with the checks, errors and messages of
+    core.brute_force_R.
 
     The deficiency D(x) = pi(x) - pi(x/k) can only drop where pi(x/k) jumps,
     i.e. at x = k*p; every x below p_n fails trivially since pi(x) < n
@@ -38,10 +38,10 @@ def critical_point_R(k, n, scan_limit):
         raise DomainError(f"threshold k must exceed 1, got {k}")
     if scan_limit < 4:
         raise RangeError(f"scan limit {scan_limit} too small")
-    store = shared_store(scan_limit)
-    primes = np.asarray(store.primes, dtype=np.int64)
+    assert store.limit >= scan_limit
+    primes = np.asarray(store.primes[: store.prime_count(scan_limit)], dtype=np.int64)
     num, den = k.numerator, k.denominator
-    if n > store.prime_count(scan_limit):
+    if n > len(primes):
         raise InconclusiveError(f"fewer than {n} primes below scan limit {scan_limit}")
 
     # Critical points x = k*p for primes p with k*p <= scan_limit.
@@ -61,4 +61,4 @@ def critical_point_R(k, n, scan_limit):
             )
     # From k*p_j on, pi(x/k) = j up to the next critical point, which passes,
     # so D(x) >= n exactly from p_{n+j} on (from p_n when nothing fails).
-    return store.nth_prime(n + last)
+    return int(primes[n + last - 1]), n + last

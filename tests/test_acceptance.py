@@ -72,14 +72,16 @@ def test_criterion_3_bound_value():
     report(3, "cor_bound(1.0008968291, axler) = 58890")
 
 
-def test_criterion_4_oracle_vs_characterization():
+def test_criterion_4_oracle_vs_characterization(store_10m):
     rng = random.Random(20260826)
     start = time.perf_counter()
     for _ in range(200):
         # exact rational k uniformly in (1.001, 1.7)
         k = Fraction(1) + Fraction(rng.randint(1_001, 699_999), 1_000_000)
         scan = 2 * certified_bound(k)
-        assert critical_point_R(k, 1, scan) == first_k_ramanujan(k).prime, f"k = {k}"
+        answer = first_k_ramanujan(k)
+        got = critical_point_R(k, 1, scan, store_10m)
+        assert got == (answer.prime, answer.index), f"k = {k}"
     elapsed = time.perf_counter() - start
     assert elapsed < 300
     report(4, f"200 oracle/fast-path agreements in {elapsed:.1f}s")

@@ -231,6 +231,19 @@ def test_table_past_the_sieve_budget_reads_the_record_table(
     assert paper[0] == 0 and len(paper[1].splitlines()) == 45
 
 
+@pytest.mark.slow
+def test_table_prefix_ending_on_a_row(capsys):
+    # the prefix 292 * 1453168142 / 292 + 292 = 1,453,168,434 ends on
+    # p_72507381 = 1,453,168,433, the upper prime of the 292 gap: the prefix
+    # store's last index is the last row
+    code, out, _ = run(
+        capsys, "table", "--k-min", "1453168434/1453168142", "--index-limit", "98222287"
+    )
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 160
+    assert lines[-1] == "159,72507381,1453168433,1453168141,1453168433,1453168141"
+
+
 @pytest.mark.parametrize(
     "n, p_n",
     # published primes: p_2..p_5, p_10^6, p_10^7 and p_pi(2e9), the last prime
@@ -239,7 +252,7 @@ def test_table_past_the_sieve_budget_reads_the_record_table(
      (98_222_287, 1_999_999_973)],
 )
 def test_table_sieve_limit_reaches_p_n(n, p_n):
-    assert p_n <= cli._table_sieve_limit(n) <= DEFAULT_SIEVE_BUDGET
+    assert p_n <= primes_mod.nth_prime_limit(n) <= DEFAULT_SIEVE_BUDGET
 
 
 @settings(max_examples=200, deadline=None)
@@ -249,7 +262,7 @@ def test_table_sieve_limit_reaches_p_n(n, p_n):
 @example(98_222_288)
 def test_table_sieve_limit_within_the_budget_up_to_pi_of_it(n):
     # every index limit up to pi(2e9) sieves within the budget; past it, exit 5
-    assert (cli._table_sieve_limit(n) <= DEFAULT_SIEVE_BUDGET) == (n <= 98_222_287)
+    assert (primes_mod.nth_prime_limit(n) <= DEFAULT_SIEVE_BUDGET) == (n <= 98_222_287)
 
 
 def test_table_small_limit(capsys):

@@ -4,7 +4,6 @@ from bisect import bisect_left
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import mpmath
 import pytest
@@ -31,9 +30,11 @@ from kramanujan import (
     sieve_upto,
     verify_theorem,
 )
+from kramanujan import cli
 from kramanujan import primes as primes_mod
-from kramanujan.core import k_equals_gap_ratio, shared_store
-from kramanujan.primes import DEFAULT_SIEVE_BUDGET, MAX_GAP
+from kramanujan.core import k_equals_gap_ratio
+from kramanujan.primes import DEFAULT_SIEVE_BUDGET, MAX_GAP, nth_prime_limit
+from kramanujan.primes import record_prefix
 
 from reference import critical_point_R, reference_breakpoints
 
@@ -47,13 +48,13 @@ def store_gap_ratio(k, store):
     return store.primes[j : j + 2].tolist() == [k.denominator, k.numerator]
 
 
-def sieve_first_k_ramanujan(k):
-    """R_1^(k) from a sieve to the certified bound: (prime, index, flag)."""
+def sieve_first_k_ramanujan(k, store):
+    """R_1^(k) from the primes of a store up to the certified bound: (prime,
+    index, flag)."""
     bound = certified_bound(k)
-    store = shared_store(bound)
     rows = breakpoints(k, store.prime_count(bound), store)
     prime, index = (rows[-1].prime, rows[-1].index) if rows else (2, 1)
-    return prime, index, store_gap_ratio(k, store)
+    return prime, index, k.numerator <= bound and store_gap_ratio(k, store)
 
 
 def characterizes(m, k, store):
@@ -174,13 +175,14 @@ class TestFirstKRamanujan:
         answer = first_k_ramanujan(k)
         assert (answer.prime, answer.index) == expected
 
-    def test_theorem_path_agrees_with_oracle(self):
+    def test_theorem_path_agrees_with_oracle(self, store_10m):
         for text in ("1.0005", "1.0003"):
             k = parse_rational(text)
             bound = certified_bound(k)
-            prime = first_k_ramanujan(k).prime
-            assert prime <= bound
-            assert critical_point_R(k, 1, 2 * bound) == prime
+            answer = first_k_ramanujan(k)
+            assert answer.prime <= bound
+            got = critical_point_R(k, 1, 2 * bound, store_10m)
+            assert got == (answer.prime, answer.index)
 
     def test_unsupported_range(self):
         # the bound 10848210585662 is past the sieve budget
@@ -191,34 +193,37 @@ class TestFirstKRamanujan:
         with pytest.raises(DomainError):
             first_k_ramanujan(Fraction(1, 2))
 
-    def test_oracle_cross_check_near_trudgian(self):
+    def test_oracle_cross_check_near_trudgian(self, store_10m):
         rng = random.Random(407)
         lo, hi = math.log(0.0000407), math.log(0.001)
         for _ in range(12):
             k = 1 + Fraction(math.exp(rng.uniform(lo, hi))).limit_denominator(10**12)
             bound = certified_bound(k)
-            prime = first_k_ramanujan(k).prime
-            assert prime <= bound
-            assert critical_point_R(k, 1, 2 * bound) == prime, f"k = {k}"
+            answer = first_k_ramanujan(k)
+            assert answer.prime <= bound
+            got = critical_point_R(k, 1, 2 * bound, store_10m)
+            assert got == (answer.prime, answer.index), f"k = {k}"
 
 
 class TestBruteForce:
     def test_remark_a_case(self):
-        assert brute_force_R(Fraction(2), 1, 1000) == 2
+        assert brute_force_R(Fraction(2), 1, 1000) == (2, 1)
 
     def test_second_ramanujan_prime(self):
-        assert brute_force_R(Fraction(2), 2, 1000) == 11
+        assert brute_force_R(Fraction(2), 2, 1000) == (11, 5)
 
     def test_classical_ramanujan_primes(self):
         # k = 2 reproduces the classical sequence (OEIS A104272)
         got = [brute_force_R(Fraction(2), n, 10_000) for n in range(1, 11)]
-        assert got == [2, 11, 17, 29, 41, 47, 59, 67, 71, 97]
+        assert got == [(2, 1), (11, 5), (17, 7), (29, 10), (41, 13), (47, 15),
+                       (59, 17), (67, 19), (71, 20), (97, 25)]
 
     def test_paper_value(self):
-        assert brute_force_R(parse_rational("1.0008968291"), 1, 200_000) == 58889
+        k = parse_rational("1.0008968291")
+        assert brute_force_R(k, 1, 200_000) == (58889, 5950)
 
     def test_three_halves(self):
-        assert brute_force_R(Fraction(3, 2), 1, 1000) == 11
+        assert brute_force_R(Fraction(3, 2), 1, 1000) == (11, 5)
         assert first_k_ramanujan(Fraction(3, 2)).prime == 11
 
     def test_inconclusive_tail(self):
@@ -244,19 +249,28 @@ def _outcome(f, *args):
     t=st.floats(min_value=math.log(1e-5), max_value=math.log(10)),
     n=st.one_of(st.integers(1, 20), st.integers(1, 3000)),
     scan_limit=st.integers(4, 2_000_000),
-    cached=st.booleans(),
 )
-def test_brute_force_matches_the_critical_point_scan(
-    store_10m, t, n, scan_limit, cached
-):
-    # brute_force_R reads a cached store past scan_limit, as after a larger
-    # query, or sieves its own prefix, often short of scan_limit; the
-    # reference then sieves all of scan_limit
+def test_brute_force_matches_the_critical_point_scan(store_10m, t, n, scan_limit):
+    # brute_force_R sieves its own prefix, often short of scan_limit; the
+    # reference scans every critical point up to scan_limit
     k = 1 + Fraction(math.exp(t))
-    with mock.patch.object(core, "_shared", store_10m if cached else None):
-        assert _outcome(brute_force_R, k, n, scan_limit) == _outcome(
-            critical_point_R, k, n, scan_limit
-        )
+    assert _outcome(brute_force_R, k, n, scan_limit) == _outcome(
+        critical_point_R, k, n, scan_limit, store_10m
+    )
+
+
+def test_one_sieve_per_record_search(capsys, monkeypatch):
+    # the oracle and a table that records.csv does not decide each sieve their
+    # prefix once, and compute reads the oracle's index off the same search
+    limits = []
+    monkeypatch.setattr(core, "sieve_upto", lambda n: limits.append(n) or sieve_upto(n))
+    assert cli.main(["compute", "--k", "2", "--n", "9", "--method", "oracle",
+                     "--scan-limit", "1000"]) == 0
+    assert '"prime": 71,\n  "index": 20,' in capsys.readouterr().out
+    assert limits == [record_prefix(1000, Fraction(2), 9)] == [1000]
+    assert cli.main(["table", "--k-min", "1", "--index-limit", "1000"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "32,1000,7919,7907,7919,7907"
+    assert limits[1:] == [nth_prime_limit(1000)]
 
 
 class TestCharacterization:
@@ -472,8 +486,11 @@ class TestRecordTable:
         ],
     )
     def test_generator_at_a_small_horizon(
-        self, records_script, monkeypatch, floor, horizon, odds, prefix, count
+        self, records_script, monkeypatch, tmp_path, floor, horizon, odds, prefix,
+        count,
     ):
+        # the generator at this floor and horizon, with record_prefix's MAX_GAP
+        # the largest gap to the horizon
         store = sieve_upto(horizon)
         expected = breakpoints(floor, store.count, store)
         limits = []
@@ -483,9 +500,26 @@ class TestRecordTable:
         if odds:
             monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", odds)
         gap = max(row[3] for row in records_script.segment_rows(horizon))
-        rows = records_script.records(floor, horizon, gap)
+        monkeypatch.setattr(primes_mod, "MAX_GAP", gap)
+        monkeypatch.setattr(records_script, "FLOOR", floor)
+        monkeypatch.setattr(records_script, "DEFAULT_SIEVE_BUDGET", horizon)
+        assert records_script.main([str(tmp_path)]) == 0
+        header, *lines = (tmp_path / "records.csv").read_text().splitlines()
+        assert header == f"floor {floor} horizon {horizon}"
+        rows = [tuple(map(int, line.split(","))) for line in lines]
         assert rows == [(r.index, r.prime, r.prev_prime) for r in expected]
         assert limits == [prefix] and len(rows) == count
+
+    def test_generator_refuses_a_gap_past_max_gap(
+        self, records_script, monkeypatch, tmp_path
+    ):
+        # the largest gap to 10^6 is 114: with a MAX_GAP of 113 the prefix
+        # could cut off a ratio above the floor, so nothing is written
+        monkeypatch.setattr(records_script, "MAX_GAP", 113)
+        monkeypatch.setattr(records_script, "DEFAULT_SIEVE_BUDGET", 10**6)
+        with pytest.raises(RuntimeError, match="gap of 114 below 1000000 exceeds 113"):
+            records_script.main([str(tmp_path)])
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.slow
     def test_regenerated_table_is_the_committed_file(
@@ -524,13 +558,12 @@ K_LOW = Fraction("1.0000405")
 K_LOW_BOUND = 3_001_491
 
 
-def _k_within_trudgian(data):
+def _k_within_trudgian(data, store):
     way = data.draw(st.sampled_from(["log_uniform", "gap_ratio", "row", "large"]))
     if way == "log_uniform":
         t = data.draw(st.floats(min_value=math.log(4.05e-5), max_value=0.0))
         return max(K_LOW, 1 + Fraction(math.exp(t)))
     if way == "gap_ratio":  # p_n <= 49,000 keeps p_n/p_{n-1} above 1.0000405
-        store = shared_store(60_000)
         n = data.draw(st.integers(min_value=2, max_value=store.prime_count(49_000)))
         return Fraction(store.nth_prime(n), store.nth_prime(n - 1))
     if way == "row":  # a record ratio, or next to it
@@ -540,25 +573,25 @@ def _k_within_trudgian(data):
     return data.draw(st.fractions(min_value=2, max_value=10**6, max_denominator=10**6))
 
 
-def _assert_table_matches_the_sieve(k):
-    assert certified_bound(k) <= K_LOW_BOUND
+def _assert_table_matches_the_sieve(k, store):
+    assert certified_bound(k) <= K_LOW_BOUND <= store.limit
     answer = first_k_ramanujan(k)
     assert (answer.prime, answer.index, answer.k_equals_gap_ratio) == (
-        sieve_first_k_ramanujan(k)
+        sieve_first_k_ramanujan(k, store)
     )
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_table_matches_the_sieve(data):
-    k = _k_within_trudgian(data)
+def test_table_matches_the_sieve(store_10m, data):
+    k = _k_within_trudgian(data, store_10m)
     assert k >= K_LOW
-    _assert_table_matches_the_sieve(k)
+    _assert_table_matches_the_sieve(k, store_10m)
 
 
 @pytest.mark.parametrize(
     "k", [K_LOW, Fraction(2898359, 2898239), Fraction(5, 3), Fraction(3, 2)]
 )
-def test_table_matches_the_sieve_at(k):
+def test_table_matches_the_sieve_at(store_10m, k):
     assert certified_bound(K_LOW) == K_LOW_BOUND
-    _assert_table_matches_the_sieve(k)
+    _assert_table_matches_the_sieve(k, store_10m)

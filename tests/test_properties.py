@@ -17,9 +17,8 @@ from kramanujan import (
     cor_bound,
     first_k_ramanujan,
 )
-from kramanujan import cli, core
+from kramanujan import core
 from kramanujan import primes as primes_mod
-from kramanujan.core import shared_store
 
 from reference import critical_point_R, reference_breakpoints
 
@@ -34,12 +33,10 @@ ks = st.fractions(
 
 @settings(max_examples=60, deadline=None)
 @given(ks)
-def test_oracle_equivalence(k):
+def test_oracle_equivalence(store_10m, k):
     answer = first_k_ramanujan(k)
-    prime, index = answer.prime, answer.index
-    assert critical_point_R(k, 1, 2 * FAST_BOUND) == prime
-    store = shared_store(2 * FAST_BOUND)
-    assert store.nth_prime(index) == prime
+    got = critical_point_R(k, 1, 2 * FAST_BOUND, store_10m)
+    assert got == (answer.prime, answer.index)
 
 
 @settings(max_examples=60, deadline=None)
@@ -76,9 +73,8 @@ def test_bound_soundness(k):
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_table_coherence(data):
-    store = shared_store(FAST_BOUND)
-    rows = breakpoints(Fraction("1.0008968291"), 5950, store)
+def test_table_coherence(store_60k, data):
+    rows = breakpoints(Fraction("1.0008968291"), 5950, store_60k)
     i = data.draw(st.integers(min_value=0, max_value=len(rows) - 2))
     lo, hi = rows[i + 1].ratio, rows[i].ratio
     # any k in [next ratio, this ratio) lands on this row's prime
@@ -94,23 +90,22 @@ def test_table_coherence(data):
     st.fractions(min_value=2, max_value=50_000, max_denominator=10**4),
     st.fractions(min_value=2, max_value=50_000, max_denominator=10**4),
 )
-def test_prime_count_monotone(x1, x2):
-    store = shared_store(60_000)
+def test_prime_count_monotone(store_60k, x1, x2):
     if x1 > x2:
         x1, x2 = x2, x1
-    assert store.prime_count(x1) <= store.prime_count(x2)
+    assert store_60k.prime_count(x1) <= store_60k.prime_count(x2)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.fractions(min_value=2, max_value=50_000, max_denominator=10**6))
-def test_prime_count_floor_reduction(x):
-    store = shared_store(60_000)
-    assert store.prime_count(x) == store.prime_count(x.numerator // x.denominator)
+def test_prime_count_floor_reduction(store_60k, x):
+    floor = x.numerator // x.denominator
+    assert store_60k.prime_count(x) == store_60k.prime_count(floor)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.data())
-def test_per_gap_reduction_soundness(data):
+def test_per_gap_reduction_soundness(store_10m, data):
     """A gap passing its single left-endpoint check passes at every real x.
 
     The theorem interval at any rational x inside the gap must contain a
@@ -119,10 +114,9 @@ def test_per_gap_reduction_soundness(data):
     """
     from kramanujan import AXLER, verify_theorem
 
-    store = shared_store(200_000)
     report = verify_theorem(AXLER, 58837, 70_000)
     assert report.ok
-    ps, qs = store.gap_arrays(58837, 70_000)
+    ps, qs = store_10m.gap_arrays(58837, 70_000)
     j = data.draw(st.integers(min_value=0, max_value=len(ps) - 1))
     p, q = int(ps[j]), int(qs[j])
     lo = max(p, 58837)
@@ -183,11 +177,11 @@ def test_table_rows_from_the_record_table(store_21m, data):
         st.integers(min_value=max(a_star, 2), max_value=store_21m.count),
     ))
     with mock.patch.object(core, "shared_store", None):  # nothing sieves
-        assert cli._table_rows(k_min, n) == rows
+        assert core.table_rows(k_min, n) == rows
     assert rows == breakpoints(k_min, n, store_21m)
     if a_star > 2:  # one index short of a*, row a* is out of range: the table sieves
         below = breakpoints(k_min, a_star - 1, store_21m)
-        assert cli._table_rows(k_min, a_star - 1) == below != rows
+        assert core.table_rows(k_min, a_star - 1) == below != rows
 
 
 def _k_min_near_one(data, store):
@@ -211,10 +205,9 @@ def test_table_rows_sieve_only_the_prefix(store_21m, data):
     assert 1 < k_min <= Fraction(11, 10)
     t = data.draw(st.floats(min_value=math.log(2), max_value=math.log(n_max)))
     n = max(2, min(round(math.exp(t)), n_max))
-    with mock.patch.object(core, "_shared", None):
-        rows = cli._table_rows(k_min, n)
-        # nothing sieved (records.csv decided) or exactly the prefix
-        sieved = core._shared.limit if core._shared else None
-    prefix = primes_mod.record_prefix(cli._table_sieve_limit(n), k_min)
-    assert sieved in (None, prefix)
+    with mock.patch.object(core, "shared_store", wraps=core.shared_store) as sieve:
+        rows = core.table_rows(k_min, n)
+    # nothing sieved (records.csv decided) or exactly the prefix
+    prefix = primes_mod.record_prefix(primes_mod.nth_prime_limit(n), k_min)
+    assert sieve.call_args_list in ([], [mock.call(prefix)])
     assert rows == reference_breakpoints(k_min, n, store_21m)

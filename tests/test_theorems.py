@@ -207,8 +207,9 @@ def test_one_float_guard_literal():
     assert literals == ["verify.py: PRESCREEN_GUARD = 1e-9"]
 
 
-def test_one_sieve_budget_owner():
-    # sieve_upto alone refuses a table past the budget, before sieving
+def test_one_sieve_budget_owner(monkeypatch):
+    # only primes.py names the sieve budget, and an answer past the record
+    # table's horizon is refused before any sieve
     src = Path(kramanujan.__file__).parent
     owners = [
         path.name
@@ -216,10 +217,9 @@ def test_one_sieve_budget_owner():
         if "DEFAULT_SIEVE_BUDGET" in path.read_text()
     ]
     assert owners == ["primes.py"]
-    before = core._shared
+    monkeypatch.setattr(core, "shared_store", None)  # nothing sieves
     with pytest.raises(ResourceLimitError, match="budget"):
         core.first_k_ramanujan(Fraction("1.00001"))
-    assert core._shared is before
 
 
 @pytest.mark.parametrize(
