@@ -31,10 +31,9 @@ facts give the rows:
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
 
 from kramanujan.core import breakpoints
 from kramanujan.primes import DEFAULT_SIEVE_BUDGET, MAX_GAP, record_prefix, segments
@@ -47,17 +46,19 @@ FLOOR = Fraction(100001, 100000)
 
 def segment_rows(horizon: int) -> list[tuple[int, int, int, int, int]]:
     """Rows (low, high, primes in [low, high), largest owned gap, its lower
-    prime) of the segments of [3, horizon], in order."""
+    prime) of the segments of [3, horizon], in order.  A gap of 2h + 2 or more
+    is a run of h zero bytes before a one, so the largest h with such a run is
+    bisected with bytearray.find, and its first run gives the gap's prime."""
     rows = []
     for part in segments(horizon):
         start, low, high = part.args[:3]
-        primes = np.frombuffer(part(), np.bool_).nonzero()[0] * 2 + start
-        a = int(primes.searchsorted(low))  # the first prime the segment holds
-        owned = primes[max(a - 1, 0) :]  # from the prime before it, if any
-        gaps = np.diff(owned)
-        j = int(gaps.argmax()) if len(gaps) else None
-        gap, prev = (0, 0) if j is None else (int(gaps[j]), int(owned[j]))
-        rows.append((low, high, len(primes) - a, gap, prev))
+        mask, b = part(), (low - start) // 2
+        a = max(mask.rfind(1, 0, b), 0)  # the prime before low, or 3
+        h = bisect_left(range(len(mask)), True,
+                        key=lambda z: mask.find(bytes(z) + b"\1", a + 1) < 0)
+        j = mask.find(bytes(h - 1) + b"\1", a + 1) if h else -1
+        gap, prev = (2 * h, start + 2 * mask.rfind(1, 0, j)) if h else (0, 0)
+        rows.append((low, high, mask.count(1, b), gap, prev))
     return rows
 
 

@@ -1,21 +1,23 @@
 """First (and nth) k-Ramanujan primes: the record table's answers, explicit
-upper bounds, and one record-ratio search behind both the breakpoint table and
-the nth-prime scan."""
+upper bounds, the breakpoint table's walk over the segment masks, and the
+stride-n record-ratio search behind the nth-prime scan."""
 
 from __future__ import annotations
 
 import math
 import os
 import re
+from bisect import bisect_left
 from contextlib import suppress
 from fractions import Fraction
-from itertools import compress, count, islice
+from itertools import accumulate, compress, count, islice
 from operator import sub
 from typing import NamedTuple
 
 from .errors import DomainError, InconclusiveError, RangeError, UnsupportedRangeError
 from .errors import ResourceLimitError
-from .primes import PrimeStore, nth_prime_limit, record_prefix, sieve_upto
+from .primes import MAX_GAP, PrimeStore, _gaps, _slices, record_prefix, segments
+from .primes import sieve_upto
 from .theorems import BUILTIN_THEOREMS, GapTheorem
 
 _RATIONAL = re.compile(r"^\s*(\d+(?:\.\d{1,15})?|\d+/0*[1-9]\d*)\s*$")
@@ -60,7 +62,7 @@ class Answer(NamedTuple):
 
 
 def shared_store(limit: int) -> PrimeStore:
-    """All primes <= limit: the one sieve of a record search, table or oracle."""
+    """All primes <= limit: the one sieve of the oracle's record search."""
     return sieve_upto(limit)
 
 
@@ -95,40 +97,57 @@ def certified_bound(k: Fraction) -> int:
 def first_k_ramanujan(k: Fraction) -> Answer:
     """R_1^(k) as an Answer(prime, index, bound, k_equals_gap_ratio).
 
-    The prime is p_m for m = max{n >= 2 | p_n/p_{n-1} > k}, the last row of
-    records_above(k), or 2 when no gap ratio exceeds k.
-    """
-    bound, rows = records_above(k)
-    prime, index = (rows[-1].prime, rows[-1].index) if rows else (2, 1)
-    return Answer(prime, index, bound, k_equals_gap_ratio(k, bound))
-
-
-def records_above(k: Fraction) -> tuple[int, list[BreakpointEntry]]:
-    """certified_bound(k) and the rows above k of records.csv, the right-to-left
-    record table up to its horizon; ResourceLimitError past the horizon.
-
-    No gap ratio past the bound exceeds k, and k exceeds the table's floor, so
-    the rows are breakpoints(k, N) for every N >= the last row's index (or 1).
-    """
+    p_m for m = max{n >= 2 | p_n/p_{n-1} > k} (2 if none) is the last row above k
+    of records.csv, the record table to its horizon, since no ratio past the bound
+    exceeds k and k exceeds the table's floor (ResourceLimitError past it)."""
     bound = certified_bound(k)
     header, rows = _table("records.csv")
     if bound > (horizon := int(header.split()[-1])):
         raise ResourceLimitError(f"certified bound {bound} exceeds budget {horizon}")
     num, den = k.numerator, k.denominator
-    above = [(a, p, q) for a, p, q in rows if p * den > num * q]
-    return bound, [BreakpointEntry(a, p, q, Fraction(p, q)) for a, p, q in above]
+    index, prime = next(((a, p) for a, p, q in rows[::-1] if p * den > num * q), (1, 2))
+    return Answer(prime, index, bound, k_equals_gap_ratio(k, bound))
 
 
 def table_rows(k_min: Fraction, index_limit: int) -> list[BreakpointEntry]:
-    """breakpoints(k_min, index_limit): the rows of records.csv when they decide
-    it, else one search on a sieve of the prefix that holds every ratio above
-    k_min (also for k_min <= 1 or a bound past the table's horizon)."""
-    with suppress(DomainError, ResourceLimitError):
-        _, rows = records_above(k_min)
-        if not rows or index_limit >= rows[-1].index:
-            return rows
-    store = shared_store(record_prefix(nth_prime_limit(index_limit), k_min))
-    return breakpoints(k_min, min(index_limit, store.count), store)
+    """breakpoints(k_min, N), N = index_limit, by one right-to-left walk over the
+    segment masks from min(p_N, record_prefix).  With num/den the best ratio so
+    far, a segment whose gap g in segments.csv has g*den <= (num - den)*start is
+    not sieved, and a slice from the prime p passes only gaps past
+    (num - den)*p // den to the big-int check.  Past pi(horizon) N is pi(horizon)
+    if k_min's certified bound is within it (no later ratio exceeds k_min), else
+    a ResourceLimitError."""
+    horizon = int(_table("records.csv", 0, 0)[0].split()[-1])  # and segments.csv's
+    parts = segments(record_prefix(horizon, k_min))
+    rows = _table("segments.csv", 0, len(parts))[1]
+    pi = [*accumulate((row[2] for row in rows), initial=1)]  # pi(low - 1) by segment
+    past = index_limit > pi[-1]  # p_N is past the prefix's segment
+    with suppress(DomainError):  # k_min <= 1, or every bound overflows
+        past = past and certified_bound(k_min) > horizon
+    if past and index_limit > 1 + sum(row[2] for row in _table("segments.csv")[1]):
+        raise ResourceLimitError(f"p_{index_limit} is past the sieve budget {horizon}")
+    j = min(bisect_left(pi, index_limit), len(parts)) - 1  # p_N's segment, or the last
+    start, low = parts[j].args[:2]
+    top, b = parts[j](), (low - start) // 2
+    if (r := index_limit - pi[j]) <= top.count(1, b):  # p_N: the rth prime from low
+        del top[bisect_left(range(len(top)), r, b, key=lambda e: top.count(1, b, e)):]
+    out: list[BreakpointEntry] = []
+    num, den = k_min.numerator, k_min.denominator  # the ratio to beat
+    for i in reversed(range(j + 1)):
+        start, low = parts[i].args[:2]
+        if rows[i][3] * den <= (num - den) * start:
+            continue
+        mask = top if i == j else parts[i]()
+        for b0, b1 in reversed(_slices((max(low, 4) - start + 1) // 2, len(mask))):
+            cut = max(num - den, 0) * (start + 2 * mask.rfind(1, 0, b0)) // den
+            for p, q in reversed(_gaps(mask, start, b0, b1, min(cut, MAX_GAP) // 2)):
+                if q * den > num * p:  # a row, indexed by pi(low - 1) and the mask
+                    a = pi[i] + mask.count(1, (low - start) // 2, (q - start) // 2 + 1)
+                    out.append(BreakpointEntry(a, q, p, Fraction(q, p)))
+                    num, den = q, p
+    if 3 * den > 2 * num:  # the pair (2, 3), which no mask holds
+        out.append(BreakpointEntry(2, 3, 2, Fraction(3, 2)))
+    return out[::-1]
 
 
 def _table(name: str, i=0, j=None) -> tuple[str, list[tuple[int, ...]]]:
@@ -139,8 +158,7 @@ def _table(name: str, i=0, j=None) -> tuple[str, list[tuple[int, ...]]]:
 
 
 def brute_force_R(k: Fraction, n: int, scan_limit: int) -> tuple[int, int]:
-    """R_n^(k) = p_index as (prime, index), from the critical points
-    k*p_j <= scan_limit.
+    """R_n^(k) = p_index as (prime, index) from the critical points k*p_j <= scan_limit.
 
     The deficiency D(x) = pi(x) - pi(x/k) can only drop where pi(x/k) jumps,
     at x = k*p_j, and there D < n iff p_{j+n} > k*p_j.  The last failing j is
@@ -181,12 +199,10 @@ def breakpoints(
     [n + 1, index_limit]; prev_prime is p_{a-n}, the gap ratio's for n = 1.
 
     Entry a is kept iff p_a/p_{a-n} beats every later ratio in range and
-    exceeds k_min strictly.  Output is sorted by index, so ratios strictly
-    decrease along the list.
-
-    Cut, then exact: right to left, a chunk of ratios whose smallest p_(a-n)
-    is p_min can beat the best ratio b = num/den so far only where
-    p_a - p_(a-n) > (num - den) * p_min // den; only those reach the big-int check.
+    exceeds k_min strictly; sorted by index, the ratios strictly decrease.
+    Right to left, a chunk whose smallest p_(a-n) is p_min passes only its gaps
+    past (num - den) * p_min // den, for the best ratio num/den so far, to the
+    big-int check.
     """
     if not n + 1 <= index_limit <= store.count:
         raise RangeError(f"index limit {index_limit} outside {n + 1}..{store.count}")

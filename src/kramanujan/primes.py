@@ -1,4 +1,4 @@
-"""Segmented sieve and exact prime-counting / nth-prime / gap queries."""
+"""Segmented sieve, the gap finder of its masks, and exact pi / nth-prime queries."""
 
 from __future__ import annotations
 
@@ -26,6 +26,9 @@ MAX_GAP = 292
 # 0.38 s at 2^22).  Semantically invisible: results are identical for any
 # positive value (tested).
 _SEGMENT_ODDS = 1 << 20
+
+# Mask bytes per scan slice, each with its own cut.  Semantically invisible (tested).
+_SCAN_ODDS = 1 << 14
 
 # A segment starts from a tiled pattern, 3*5*7*11*13 = 15015 odds (15 KB) long,
 # that already strikes the odd multiples of these primes.
@@ -81,8 +84,15 @@ class PrimeStore:
 
 
 def sieve_upto(limit: int) -> PrimeStore:
-    """All primes <= limit, as a store."""
-    return PrimeStore(limit, _sieve(limit))
+    """All primes <= limit, as a store: 2, then the odd masks of segments(limit)
+    from each low."""
+    from array import array  # a shared library: a call that never sieves skips it
+    parts = segments(limit)
+    out = array("I", [2] if limit >= 2 else [])
+    for part in parts:
+        start, low, high = part.args[:3]
+        out.extend(compress(range(low, high, 2), part()[(low - start) // 2 :]))
+    return PrimeStore(limit, out)
 
 
 def segments(limit: int) -> list[partial]:
@@ -111,9 +121,8 @@ def segments(limit: int) -> list[partial]:
 
 def record_prefix(limit: int, k: Fraction, n: int = 1) -> int:
     """A sieve limit that holds every stride-n ratio p_a/p_(a-n) > k with p_a <=
-    limit (all of limit for k <= 1): below the budget p_a - p_(a-n) <= n*MAX_GAP,
-    so such a ratio has p_(a-n) < n*MAX_GAP/(k - 1) and p_a at most the result.
-    limit itself must be within the budget."""
+    limit (all of limit for k <= 1), which must be within the budget: below it
+    p_a - p_(a-n) <= n*MAX_GAP, and such a ratio has p_a < n*MAX_GAP*k/(k - 1)."""
     _budgeted(limit)
     if k <= 1:
         return limit
@@ -121,17 +130,24 @@ def record_prefix(limit: int, k: Fraction, n: int = 1) -> int:
     return min(limit, n * MAX_GAP * den // (num - den) + n * MAX_GAP)
 
 
-def nth_prime_limit(n: int) -> int:
-    """A sieve limit that reaches p_n, within the budget exactly for the n up
-    to pi(DEFAULT_SIEVE_BUDGET) = 98,222,287 (published).
+def _slices(a: int, b: int) -> list[tuple[int, int]]:
+    """The scan slices [b0, b1) of mask bytes [a, b), in order."""
+    return [(b0, min(b0 + _SCAN_ODDS, b)) for b0 in range(a, b, _SCAN_ODDS)]
 
-    p_n < n(log n + log log n) for n >= 6; n = 2..5 give 16, 19, 22 and 26,
-    each at least p_5 = 11.  Up to n = 98,222,287, p_n <= the budget, which
-    is below the formula from n = 94,032,343.  n stops at 2^53.
-    """
-    x = float(min(n, 2**53))
-    limit = int(x * (math.log(x) + math.log(math.log(x)))) + 16
-    return min(limit, DEFAULT_SIEVE_BUDGET) if n <= 98_222_287 else limit
+
+def _gaps(mask: bytearray, start: int, b0: int, b1: int, half: int) -> list:
+    """The pairs (p, q) of consecutive primes of an odd mask from start, q at a
+    byte in [b0, b1), with q - p > 2 * half: a q after half zero bytes at least."""
+    if 3 * half < start.bit_length():  # 2 * half < ~log x, the mean gap: list all
+        primes = [start + 2 * mask.rfind(1, 0, b0),
+                  *compress(range(start + 2 * b0, start + 2 * b1, 2), mask[b0:b1])]
+        return [(p, q) for p, q in zip(primes, primes[1:]) if q - p > 2 * half]
+    run, found = bytes(half) + b"\1", []
+    j = mask.find(run, max(b0 - half, 0), b1)
+    while j >= 0:
+        found.append((start + 2 * mask.rfind(1, 0, j), start + 2 * (j + half)))
+        j = mask.find(run, j + half + 1, b1)
+    return found
 
 
 def _budgeted(limit: int) -> int:
@@ -161,14 +177,3 @@ def _segment(start: int, low: int, high: int, base: list, wheel: bytes) -> bytea
     if start < low and mask.find(1, 0, (low - start) // 2) < 0:
         raise RuntimeError(f"no prime in [{start}, {low}): a gap past MAX_GAP")
     return mask
-
-
-def _sieve(limit: int) -> array:
-    """Primes <= limit: 2, then the odd masks of segments(limit) from each low."""
-    from array import array  # a shared library: a call that never sieves skips it
-    parts = segments(limit)
-    out = array("I", [2] if limit >= 2 else [])
-    for part in parts:
-        start, low, high = part.args[:3]
-        out.extend(compress(range(low, high, 2), part()[(low - start) // 2 :]))
-    return out

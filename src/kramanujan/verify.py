@@ -3,12 +3,11 @@
 Each segment owns the pairs (p, q) whose q it holds; its mask, from MAX_GAP
 below it, holds p too.  A gap at most GapTheorem.gap_floor on its scan slice is
 certified with no float for every real x in it, and so is, unsieved, a segment
-above lo whose row (low, high) of the committed segments.csv has its largest gap
-within gap_floor from the mask's start: a result rests on that table as compute's
-rests on records.csv.  The mask finds the other gaps as runs of zero bytes for a
-float prescreen whose guard leaves the doubtful ones to exact checks; one check per
-gap (p, q), at x = p or at x = lo inside it, covers every real x where log x >= e,
-as x(1 + c/log^e x) has slope 1 + c(log x - e)/log^(e+1) x >= 1.
+above lo whose segments.csv row has its largest gap within gap_floor from the
+mask's start.  Other gaps, runs of zero bytes, go to a float prescreen whose guard
+leaves the doubtful ones to exact checks; one check per gap (p, q), at x = p or at
+x = lo in it, covers every real x where log x >= e, as x(1 + c/log^e x) has slope
+1 + c(log x - e)/log^(e+1) x >= 1.
 """
 
 from __future__ import annotations
@@ -17,22 +16,18 @@ import math
 import sys
 import time
 from bisect import bisect_right
-from itertools import compress, zip_longest
+from itertools import zip_longest
 from typing import Iterable, NamedTuple
 
 from .core import _table
 from .errors import DomainError, RangeError
-from .primes import MAX_GAP, segments
+from .primes import MAX_GAP, _gaps, _slices, segments
 from .theorems import GapTheorem
 
 # Relative guard of the prescreen of x(1 + c/log^e x), which decides only finite
 # values: then e <= 7547 (log^e 3 is finite), x < 2^53 is exact, and with libm's
 # log and pow within an ulp the relative error is near e*2^-51, under 4*10^-12.
 PRESCREEN_GUARD = 1e-9
-
-# Mask bytes (odd integers) per scan slice, which has its own gap_floor, as that
-# grows with x.  Semantically invisible: reports are identical for any positive value.
-_SCAN_ODDS = 1 << 14
 
 
 class VerificationReport(NamedTuple):
@@ -46,21 +41,6 @@ class VerificationReport(NamedTuple):
     @property
     def ok(self) -> bool:
         return not self.violations
-
-
-def _gaps(mask: bytearray, start: int, b0: int, b1: int, half: int) -> list:
-    """The pairs (p, q) of consecutive primes of an odd mask from start, q at a
-    byte in [b0, b1), with q - p > 2 * half: a q after half zero bytes at least."""
-    if 3 * half < start.bit_length():  # 2 * half < ~log x, the mean gap: list all
-        primes = [start + 2 * mask.rfind(1, 0, b0),
-                  *compress(range(start + 2 * b0, start + 2 * b1, 2), mask[b0:b1])]
-        return [(p, q) for p, q in zip(primes, primes[1:]) if q - p > 2 * half]
-    run, found = bytes(half) + b"\1", []
-    j = mask.find(run, max(b0 - half, 0), b1)
-    while j >= 0:
-        found.append((start + 2 * mask.rfind(1, 0, j), start + 2 * (j + half)))
-        j = mask.find(run, j + half + 1, b1)
-    return found
 
 
 def _prescreen(thm: GapTheorem, pairs: Iterable[tuple[int, int]], lo: int) -> list:
@@ -91,8 +71,7 @@ def _scan_segment(thm: GapTheorem, segment, lo: int) -> tuple[int, list]:
     mask, (start, low) = segment(), segment.args[:2]
     a = (max(lo + 1, low) - start + 1) // 2  # the byte of the first q
     found = []
-    for b0 in range(a, len(mask), _SCAN_ODDS):
-        b1 = min(b0 + _SCAN_ODDS, len(mask))
+    for b0, b1 in _slices(a, len(mask)):
         xa = max(start + 2 * mask.rfind(1, 0, b0), lo)  # the slice's first p
         floor = min(thm.gap_floor(xa, start + 2 * b1 - 2), MAX_GAP)
         found += _prescreen(thm, _gaps(mask, start, b0, b1, floor // 2), lo)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from kramanujan import primes as primes_mod
 from kramanujan import sieve_upto
 
 
@@ -32,3 +33,23 @@ def records_script():
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     return script
+
+
+@pytest.fixture(scope="session")
+def small_tables(records_script):
+    """A stand-in for core._table: segments.csv as scripts/records.py writes it
+    to 60,000 at the patched segment size, so that its rows match the small
+    segments of the tests that use it, and records.csv's header with that
+    horizon (its rows, which the segment walk never reads, are left out)."""
+    tables = {}
+
+    def table(name, i=0, j=None):
+        if name == "records.csv":
+            return "floor 100001/100000 horizon 60000\n", []
+        assert name == "segments.csv"
+        odds = primes_mod._SEGMENT_ODDS
+        if odds not in tables:
+            tables[odds] = records_script.segment_rows(60_000)
+        return "", tables[odds][i:j]
+
+    return table

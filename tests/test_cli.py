@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kramanujan import GapTheorem, breakpoints, cli, core
+from kramanujan import GapTheorem, ResourceLimitError, breakpoints, cli, core
 from kramanujan import primes as primes_mod
 from kramanujan.cli import main
 from kramanujan.primes import DEFAULT_SIEVE_BUDGET
@@ -223,19 +223,20 @@ def test_table_default_reproduces_44_rows(capsys):
 def test_table_past_the_sieve_budget_reads_the_record_table(
     capsys, monkeypatch, index_limit
 ):
-    # no gap ratio past p_5950 exceeds the paper's k_min, so records.csv holds
-    # its rows for every index limit from 5950 on, up to pi(2e9) and past it
+    # no gap ratio past p_5950 exceeds the paper's k_min, so every index limit
+    # from 5950 on, up to pi(2e9) and past it, gives the paper's rows: the walk
+    # starts at the paper's record prefix, and the certified bound, 58890, rules
+    # out a later row
     paper = run(capsys, "table")
     monkeypatch.setattr(core, "shared_store", None)  # nothing sieves
     assert run(capsys, "table", "--index-limit", index_limit) == paper
     assert paper[0] == 0 and len(paper[1].splitlines()) == 45
 
 
-@pytest.mark.slow
-def test_table_prefix_ending_on_a_row(capsys):
+def test_table_walk_from_a_prefix_ending_on_a_row(capsys):
     # the prefix 292 * 1453168142 / 292 + 292 = 1,453,168,434 ends on
-    # p_72507381 = 1,453,168,433, the upper prime of the 292 gap: the prefix
-    # store's last index is the last row
+    # p_72507381 = 1,453,168,433, the upper prime of the 292 gap: the walk's
+    # first prime is the last row
     code, out, _ = run(
         capsys, "table", "--k-min", "1453168434/1453168142", "--index-limit", "98222287"
     )
@@ -252,17 +253,29 @@ def test_table_prefix_ending_on_a_row(capsys):
      (98_222_287, 1_999_999_973)],
 )
 def test_table_sieve_limit_reaches_p_n(n, p_n):
-    assert p_n <= primes_mod.nth_prime_limit(n) <= DEFAULT_SIEVE_BUDGET
+    # the walk starts at p_n, found by the cumulative prime counts of
+    # segments.csv and then in its segment's mask; at k_min = 0 the last row is
+    # always the ratio p_n/p_(n-1)
+    assert core.table_rows(Fraction(0), n)[-1][:2] == (n, p_n)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=2, max_value=98_222_288))
-@example(94_032_343)  # where n(log n + log log n) + 16 first passes 2e9
+@example(155_611)  # p_n is the last prime of the first segment
+@example(155_612)  # and the first prime of the second
 @example(98_222_287)
 @example(98_222_288)
 def test_table_sieve_limit_within_the_budget_up_to_pi_of_it(n):
-    # every index limit up to pi(2e9) sieves within the budget; past it, exit 5
-    assert (primes_mod.nth_prime_limit(n) <= DEFAULT_SIEVE_BUDGET) == (n <= 98_222_287)
+    # k_min = 1.00001 has a certified bound past the horizon, so no ratio past
+    # 2e9 is ruled out: every index limit up to pi(2e9) walks within the
+    # budget, and past it the table exits 5
+    k_min = Fraction("1.00001")
+    assert core.certified_bound(k_min) > DEFAULT_SIEVE_BUDGET
+    if n <= 98_222_287:
+        assert 2 <= core.table_rows(k_min, n)[-1].index <= n
+    else:
+        with pytest.raises(ResourceLimitError, match="budget"):
+            core.table_rows(k_min, n)
 
 
 def test_table_small_limit(capsys):

@@ -33,7 +33,7 @@ from kramanujan import (
 from kramanujan import cli
 from kramanujan import primes as primes_mod
 from kramanujan.core import k_equals_gap_ratio
-from kramanujan.primes import DEFAULT_SIEVE_BUDGET, MAX_GAP, nth_prime_limit
+from kramanujan.primes import DEFAULT_SIEVE_BUDGET, MAX_GAP
 from kramanujan.primes import record_prefix
 
 from reference import critical_point_R, reference_breakpoints
@@ -260,8 +260,8 @@ def test_brute_force_matches_the_critical_point_scan(store_10m, t, n, scan_limit
 
 
 def test_one_sieve_per_record_search(capsys, monkeypatch):
-    # the oracle and a table that records.csv does not decide each sieve their
-    # prefix once, and compute reads the oracle's index off the same search
+    # the oracle sieves its prefix once, and compute reads its index off the
+    # same search; a table walks the segment masks and builds no store
     limits = []
     monkeypatch.setattr(core, "sieve_upto", lambda n: limits.append(n) or sieve_upto(n))
     assert cli.main(["compute", "--k", "2", "--n", "9", "--method", "oracle",
@@ -270,7 +270,7 @@ def test_one_sieve_per_record_search(capsys, monkeypatch):
     assert limits == [record_prefix(1000, Fraction(2), 9)] == [1000]
     assert cli.main(["table", "--k-min", "1", "--index-limit", "1000"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "32,1000,7919,7907,7919,7907"
-    assert limits[1:] == [nth_prime_limit(1000)]
+    assert limits == [1000]
 
 
 class TestCharacterization:

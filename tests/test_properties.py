@@ -7,11 +7,14 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kramanujan import (
     BUILTIN_THEOREMS,
+    BreakpointEntry,
+    ResourceLimitError,
     breakpoints,
     certified_bound,
     cor_bound,
@@ -166,11 +169,16 @@ def _k_min_within_the_table(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_table_rows_from_the_record_table(store_21m, data):
-    # no gap ratio past the last row a* above k_min exceeds it, so for every
-    # N >= a* the table is the record table's rows above k_min, with no sieve
+    # no gap ratio past the last row a* of records.csv above k_min exceeds it,
+    # so for every N >= a* the walk gives the record table's rows above k_min
     k_min = _k_min_within_the_table(data)
-    bound, rows = core.records_above(k_min)
-    assert bound <= 2 * 10**9
+    assert certified_bound(k_min) <= 2 * 10**9
+    num, den = k_min.numerator, k_min.denominator
+    rows = [
+        BreakpointEntry(a, p, q, Fraction(p, q))
+        for a, p, q in core._table("records.csv")[1]
+        if p * den > num * q
+    ]
     a_star = rows[-1].index if rows else 1
     n = data.draw(st.one_of(
         st.sampled_from([max(a_star, 2), a_star + 1]),
@@ -179,7 +187,7 @@ def test_table_rows_from_the_record_table(store_21m, data):
     with mock.patch.object(core, "shared_store", None):  # nothing sieves
         assert core.table_rows(k_min, n) == rows
     assert rows == breakpoints(k_min, n, store_21m)
-    if a_star > 2:  # one index short of a*, row a* is out of range: the table sieves
+    if a_star > 2:  # one index short of a*, row a* is out of range
         below = breakpoints(k_min, a_star - 1, store_21m)
         assert core.table_rows(k_min, a_star - 1) == below != rows
 
@@ -198,16 +206,92 @@ def _k_min_near_one(data, store):
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_table_rows_sieve_only_the_prefix(store_21m, data):
-    # for k_min in (1, 1.1] and N <= pi(2e7), the rows read from records.csv or
-    # found on a fresh sieve of the prefix are the records on the whole sieve
+    # for k_min in (1, 1.1] and N <= pi(2e7), the walk sieves no segment past
+    # min(p_N, record_prefix), and its rows are the records on the whole sieve
     n_max = store_21m.prime_count(2 * 10**7)
     k_min = _k_min_near_one(data, store_21m)
     assert 1 < k_min <= Fraction(11, 10)
     t = data.draw(st.floats(min_value=math.log(2), max_value=math.log(n_max)))
     n = max(2, min(round(math.exp(t)), n_max))
-    with mock.patch.object(core, "shared_store", wraps=core.shared_store) as sieve:
+    lows, segment = [], primes_mod._segment
+
+    def spy(start, low, *rest):
+        lows.append(low)
+        return segment(start, low, *rest)
+
+    with mock.patch.object(primes_mod, "_segment", spy):
         rows = core.table_rows(k_min, n)
-    # nothing sieved (records.csv decided) or exactly the prefix
-    prefix = primes_mod.record_prefix(primes_mod.nth_prime_limit(n), k_min)
-    assert sieve.call_args_list in ([], [mock.call(prefix)])
+    top = min(store_21m.nth_prime(n), primes_mod.record_prefix(2 * 10**9, k_min))
+    assert 0 < len(lows) and max(lows) <= top
     assert rows == reference_breakpoints(k_min, n, store_21m)
+
+
+# pi(60,000), the horizon of the small_tables fixture
+PI_SMALL = 6057
+
+
+def _small_walk_case(data, store):
+    """A k_min in [0, 1.1], often a gap ratio or next to one, and an N in
+    2..pi(60,000) + 1, often the index of a segment's first or last prime."""
+    if data.draw(st.booleans()):
+        k_min = data.draw(st.fractions(0, Fraction(11, 10), max_denominator=10**6))
+    else:
+        a = data.draw(st.integers(min_value=2, max_value=PI_SMALL))
+        k_min = Fraction(store.nth_prime(a), store.nth_prime(a - 1))
+        k_min += data.draw(st.sampled_from([-1, 0, 1])) * Fraction(1, 10**12)
+    if data.draw(st.booleans()):
+        return k_min, data.draw(st.integers(min_value=2, max_value=PI_SMALL + 1))
+    seg = data.draw(st.sampled_from(primes_mod.segments(60_000)))
+    low, high = seg.args[1:3]
+    edges = [store.prime_count(low - 1) + 1, store.prime_count(high - 1)]
+    return k_min, max(2, data.draw(st.sampled_from(edges)))
+
+
+def _assert_walk_matches_the_reference(k_min, n, store):
+    if n <= PI_SMALL:
+        assert core.table_rows(k_min, n) == reference_breakpoints(k_min, n, store)
+    elif k_min > 1 and certified_bound(k_min) <= 60_000:  # N stands for pi(60,000)
+        want = reference_breakpoints(k_min, PI_SMALL, store)
+        assert core.table_rows(k_min, n) == want
+    else:
+        with pytest.raises(ResourceLimitError, match="budget"):
+            core.table_rows(k_min, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(odds=st.sampled_from([1, 8, 56, 1000]), data=st.data())
+def test_walk_matches_the_reference_on_small_tables(
+    store_60k, small_tables, odds, data
+):
+    # segments.csv as the generator writes it to 60,000 at small segment
+    # sizes: one odd (mostly empty segments), 8, 56 and 1000
+    with mock.patch.object(primes_mod, "_SEGMENT_ODDS", odds), \
+            mock.patch.object(core, "_table", small_tables):
+        k_min, n = _small_walk_case(data, store_60k)
+        _assert_walk_matches_the_reference(k_min, n, store_60k)
+
+
+@pytest.mark.parametrize(
+    "k_min",
+    [Fraction(0), Fraction(1), Fraction("1.0001"), Fraction("1.001"), Fraction(2)],
+)
+@pytest.mark.parametrize("odds", [1, 56])
+def test_walk_past_the_small_horizon(store_60k, small_tables, k_min, odds):
+    # N = pi(60,000) + 1 exits 5 unless k_min's certified bound is within the
+    # horizon: not for k_min <= 1 nor for 1.0001 (2,898,360), but for 1.001
+    # and 2 (58,890), where it stands for pi(60,000)
+    with mock.patch.object(primes_mod, "_SEGMENT_ODDS", odds), \
+            mock.patch.object(core, "_table", small_tables):
+        _assert_walk_matches_the_reference(k_min, PI_SMALL + 1, store_60k)
+
+
+@pytest.mark.parametrize("scan_odds", [1, 3, 1000, 1 << 16])
+def test_walk_scan_slices_are_semantically_invisible(store_60k, monkeypatch, scan_odds):
+    # slices of one odd put a slice edge inside every gap
+    cases = [
+        (Fraction(0), 3000), (Fraction(1), 5000), (Fraction("1.0008968291"), 10**6)
+    ]
+    want = [core.table_rows(k_min, n) for k_min, n in cases]
+    assert want[0] == reference_breakpoints(Fraction(0), 3000, store_60k)
+    monkeypatch.setattr(primes_mod, "_SCAN_ODDS", scan_odds)
+    assert [core.table_rows(k_min, n) for k_min, n in cases] == want

@@ -102,7 +102,7 @@ def test_determinism_across_seams(monkeypatch):
     cases = [(CUSTOM_WEAK, 58837, 10**6, 36_275), (AXLER, AXLER.x0, 10**7, 0)]
     expected = [verify_theorem(t, lo, hi) for t, lo, hi, _ in cases]
     # small slices and segments put both kinds of seam inside both ranges
-    monkeypatch.setattr(verify_mod, "_SCAN_ODDS", 1000)
+    monkeypatch.setattr(primes_mod, "_SCAN_ODDS", 1000)
     monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", 100_000)
     for (thm, lo, hi, count), want in zip(cases, expected):
         assert len(want.violations) == count
@@ -155,7 +155,7 @@ def test_exact_band_width_changes_no_violation(
         with monkeypatch.context() as m:
             m.setattr(verify_mod, "PRESCREEN_GUARD", guard)
             m.setattr(primes_mod, "_SEGMENT_ODDS", 5000)
-            m.setattr(verify_mod, "_SCAN_ODDS", scan_odds)
+            m.setattr(primes_mod, "_SCAN_ODDS", scan_odds)
             got = verify_theorem(thm, *RECHECK_RANGE).violations
         assert got == default
         assert [(a, b) for a, b, _ in got] == want
@@ -239,7 +239,7 @@ FLOORS = [
 @given(
     thm=st.sampled_from(FLOORS),
     odds=st.sampled_from([1, 8, 56, 1000]),
-    scan_odds=st.sampled_from([1, 3, 7, verify_mod._SCAN_ODDS]),
+    scan_odds=st.sampled_from([1, 3, 7, primes_mod._SCAN_ODDS]),
     ends=st.lists(st.integers(3, 20_000), min_size=2, max_size=2),
 )
 # a floor of 0 with slice edges inside 1327 -> 1361; a zero run found across
@@ -251,7 +251,7 @@ FLOORS = [
 @example(thm=FLOORS[4], odds=1, scan_odds=1, ends=[3, 2000])
 def test_streaming_matches_stored_table(thm, odds, scan_odds, ends):
     with mock.patch.object(primes_mod, "_SEGMENT_ODDS", odds), mock.patch.object(
-        verify_mod, "_SCAN_ODDS", scan_odds
+        primes_mod, "_SCAN_ODDS", scan_odds
     ):
         _assert_streams_like_stored_table(thm, *sorted(ends))
 
@@ -281,7 +281,7 @@ def test_streaming_matches_stored_table(thm, odds, scan_odds, ends):
 @pytest.mark.parametrize("scan_odds", [1, 3])
 def test_streaming_edges(lo, hi, odds, scan_odds, monkeypatch):
     monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", odds)
-    monkeypatch.setattr(verify_mod, "_SCAN_ODDS", scan_odds)
+    monkeypatch.setattr(primes_mod, "_SCAN_ODDS", scan_odds)
     for thm in [*MIXED, EVERY_GAP_FAILS]:
         _assert_streams_like_stored_table(thm, lo, hi)
 
@@ -290,7 +290,7 @@ def test_each_slice_floor_holds_on_its_pairs(monkeypatch):
     # a slice's floor must hold from the x = max(p, lo) of its first pair, whose
     # p precedes the slice when the gap straddles its edge, up to its last q
     monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", 56)
-    monkeypatch.setattr(verify_mod, "_SCAN_ODDS", 7)
+    monkeypatch.setattr(primes_mod, "_SCAN_ODDS", 7)
     ends, gaps, lo = [], verify_mod._gaps, 1000
     monkeypatch.setattr(  # 0: every pair is listed
         GapTheorem, "gap_floor", lambda self, xa, xb: ends.append((xa, xb)) or 0
@@ -329,7 +329,7 @@ def test_segments_below_lo_are_not_sieved(monkeypatch):
 @pytest.mark.parametrize("scan_odds", [1, 3])
 def test_streaming_empty_last_segment(scan_odds, monkeypatch):
     monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", 56)
-    monkeypatch.setattr(verify_mod, "_SCAN_ODDS", scan_odds)
+    monkeypatch.setattr(primes_mod, "_SCAN_ODDS", scan_odds)
     last = primes_mod.segments(1359)[-1]  # [1347, 1359]
     start, low = last.args[:2]
     assert 1 not in last()[(low - start) // 2 :]  # no prime from 1347 on
@@ -352,23 +352,6 @@ def test_streaming_memory_is_per_segment():
 # fails on 8 gaps up to 113 -> 127, and above a few hundred its gap_floor
 # exceeds every gap, so the gate passes each segment above lo by its row
 GATED = GapTheorem("custom", 3, Fraction(1, 2), 1)
-
-
-@pytest.fixture(scope="session")
-def small_tables(records_script):
-    """A stand-in for core._table: segments.csv as scripts/records.py writes it
-    to 30,000 at the patched segment size, so that the gate's rows match the
-    small segments of the tests below."""
-    tables = {}
-
-    def table(name, i=0, j=None):
-        assert name == "segments.csv"
-        odds = primes_mod._SEGMENT_ODDS
-        if odds not in tables:
-            tables[odds] = records_script.segment_rows(30_000)
-        return "", tables[odds][i:j]
-
-    return table
 
 
 def _sieved(monkeypatch):
@@ -409,7 +392,7 @@ def test_gate_passes_segments(small_tables, monkeypatch):
 def test_seam_pair_at_production_size(lo, scan_odds, monkeypatch):
     # the first seam, 3 + 2^21 = 2,097,155, lies inside the gap 2097143 -> 2097169
     assert primes_mod.segments(2_097_200)[1].args[1] == 2_097_155
-    monkeypatch.setattr(verify_mod, "_SCAN_ODDS", scan_odds)
+    monkeypatch.setattr(primes_mod, "_SCAN_ODDS", scan_odds)
     report = _assert_streams_like_stored_table(EVERY_GAP_FAILS, lo, 2_097_200)
     pairs = [(p, q) for p, q, _ in report.violations]
     assert pairs.count((2_097_143, 2_097_169)) == 1
@@ -531,9 +514,11 @@ class TestSegmentTable:
         assert records == PUBLISHED_MAXIMAL_GAPS
 
 
-def test_only_verify_reads_the_segment_table(monkeypatch, capsys):
-    # compute and table read records.csv, bound reads no table, and verify
-    # parses only the rows of the segments it walks: here row 0
+def test_each_command_parses_only_the_rows_it_walks(monkeypatch, capsys):
+    # compute reads records.csv and bound no table; table reads the tables'
+    # horizon from records.csv's header line, and it and verify parse only the
+    # segments.csv rows of the segments they walk: here row 0, as the paper's
+    # record prefix, 325,893, and 60,000 lie in the first segment
     read, table = [], core._table
 
     def spy(name, *rows):
@@ -550,14 +535,15 @@ def test_only_verify_reads_the_segment_table(monkeypatch, capsys):
         "verify --theorem axler --from 58837 --to 60000",
     ]:
         assert cli.main(argv.split()) == 0
-    assert read == [("records.csv",)] * 3 + [("segments.csv", 0, 1)]
+    walk = [("records.csv", 0, 0), ("segments.csv", 0, 1)]
+    assert read == [("records.csv",), *walk, *walk, ("segments.csv", 0, 1)]
 
 
 def test_scan_accepts_zero_pairs():
     # the odd mask of 3..11 and an empty slice at its end, listed or found
     mask = bytearray(b"\1\1\1\0\1")
     for half in [0, 9]:
-        assert verify_mod._gaps(mask, 3, 5, 5, half) == []
+        assert primes_mod._gaps(mask, 3, 5, 5, half) == []
     assert verify_mod._prescreen(AXLER, [], AXLER.x0) == []
 
 
@@ -589,7 +575,7 @@ def test_gap_floor_above_two_to_the_31():
             got = []
             for b0 in range(1, len(mask), size):
                 b1 = min(b0 + size, len(mask))
-                got += verify_mod._gaps(mask, start, b0, b1, half)
+                got += primes_mod._gaps(mask, start, b0, b1, half)
             assert got == [(a, b) for a, b in pairs if b - a > 2 * half]
             assert verify_mod._prescreen(thm, got, lo) == want
 
@@ -619,9 +605,9 @@ PARAM_SHAPES = [
 ]
 
 
-@pytest.mark.parametrize("scan_odds", [verify_mod._SCAN_ODDS, 1 << 16, 1000, 7])
+@pytest.mark.parametrize("scan_odds", [primes_mod._SCAN_ODDS, 1 << 16, 1000, 7])
 def test_floor_matches_float_path_on_param_shapes(scan_odds, monkeypatch):
-    monkeypatch.setattr(verify_mod, "_SCAN_ODDS", scan_odds)
+    monkeypatch.setattr(primes_mod, "_SCAN_ODDS", scan_odds)
     want = _reports(PARAM_SHAPES)
     assert all(violations for violations, _ in want)
     _float_path_only(monkeypatch)
