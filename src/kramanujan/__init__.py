@@ -22,7 +22,7 @@ from .errors import (
 )
 from .primes import PrimeStore, sieve_upto
 from .theorems import AXLER, BUILTIN_THEOREMS, DUSART, TRUDGIAN, GapTheorem
-from .verify import VerificationReport, verify_theorem
+from .verify import VerificationReport, scan_theorem, verify_theorem
 
 __all__ = [
     "AXLER",
@@ -46,6 +46,7 @@ __all__ = [
     "cor_bound",
     "first_k_ramanujan",
     "parse_rational",
+    "scan_theorem",
     "sieve_upto",
     "verify_theorem",
 ]

@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+import time
 from fractions import Fraction
 from itertools import chain, islice, repeat
 
@@ -18,7 +19,8 @@ from . import core
 from .errors import KRamanujanError
 from .primes import sieve_upto  # noqa: F401  (perfbench wraps this binding)
 from .theorems import BUILTIN_THEOREMS, GapTheorem
-from .verify import verify_theorem
+from .verify import scan_theorem
+from .verify import verify_theorem  # noqa: F401  (perfbench wraps this binding)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -27,9 +29,10 @@ EXIT_VIOLATIONS = 3
 # a verify violation row, a CSV row or a JSON encoder token.
 # Semantically invisible: stdout is identical for any positive value (tested).
 _WRITE_BATCH = 4096
-# One verify violation, after its separator; json writes a finite float as
-# float.__repr__, which is also its str.
+# One verify violation, after its separator, and the record's last key; json
+# writes a finite float as float.__repr__, which is also its str.
 _ROW = '%s{\n      "p": %d,\n      "next_p": %d,\n      "threshold": %s\n    }'
+_TAIL = ',\n  "elapsed_seconds": %r\n}\n'
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,13 +79,8 @@ def cmd_compute(args) -> int:
             "--scan-limit goes with, and only with, --method oracle or --n >= 2"
         )
 
-    record = {
-        "schema": "compute",
-        "k": _frac_str(k),
-        "k_decimal": float(k),
-        "n": args.n,
-        "method": method,
-    }
+    record = {"schema": "compute", "k": _frac_str(k), "k_decimal": float(k),
+              "n": args.n, "method": method}
     if method == "table":
         answer = core.first_k_ramanujan(k)
         record["prime"] = answer.prime
@@ -102,15 +100,8 @@ def cmd_bound(args) -> int:
     k = core.parse_rational(args.k)
     thm = _resolve_theorem(args)
     bound = core.cor_bound(k, thm)
-    _emit(
-        {
-            "schema": "bound",
-            "k": _frac_str(k),
-            "k_decimal": float(k),
-            "theorem": _theorem_record(thm),
-            "bound": bound,
-        }
-    )
+    _emit({"schema": "bound", "k": _frac_str(k), "k_decimal": float(k),
+           "theorem": _theorem_record(thm), "bound": bound})
     return EXIT_OK
 
 
@@ -152,26 +143,23 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--from {args.frm} exceeds --to {args.to}")
     if args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
-    report = verify_theorem(thm, args.frm, args.to)
-    record = {
-        "schema": "verify",
-        "theorem": _theorem_record(thm),
-        "from": report.lo,
-        "to": report.hi,
-        "pairs_checked": report.pairs_checked,
-        "violations": [],
-        "elapsed_seconds": round(report.elapsed, 3),
-    }
-    # the record's one list; its rows are filled in as indent=2 would write them
-    head, _, tail = json.JSONEncoder(indent=2).encode(record).partition("[]")
+    began = time.perf_counter()
+    pairs, violations = scan_theorem(thm, args.frm, args.to)
+    record = {"schema": "verify", "theorem": _theorem_record(thm), "from": args.frm,
+              "to": args.to, "pairs_checked": pairs, "violations": []}
+    # the record's one list; its rows are streamed as indent=2 would write them
+    head = json.JSONEncoder(indent=2).encode(record).partition("[]")[0]
+    first = [*islice(violations, 1)]  # a row: "[\n", and exit 3
     seps = chain(["[\n    "], repeat(",\n    "))
     rows = (
         _ROW % (sep, p, q, thr if math.isfinite(thr) else json.dumps(thr))
-        for sep, (p, q, thr) in zip(seps, report.violations)
+        for sep, (p, q, thr) in zip(seps, chain(first, violations))
     )
-    end = "\n  ]" if report.violations else "[]"
-    _write(chain([head], rows, [end, tail, "\n"]))
-    return EXIT_OK if report.ok else EXIT_VIOLATIONS
+    # taken when pulled: after the scan and all but the last batch of rows
+    seconds = (round(time.perf_counter() - began, 3) for _ in "_")
+    end = "\n  ]" if first else "[]"
+    _write(chain([head], rows, [end], map(_TAIL.__mod__, seconds)))
+    return EXIT_VIOLATIONS if first else EXIT_OK
 
 
 def _add_theorem_flags(p: argparse.ArgumentParser) -> None:

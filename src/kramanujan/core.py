@@ -135,9 +135,10 @@ def table_rows(k_min: Fraction, index_limit: int) -> list[BreakpointEntry]:
     num, den = k_min.numerator, k_min.denominator  # the ratio to beat
     for i in reversed(range(j + 1)):
         start, low = parts[i].args[:2]
+        mask, top = top, None  # p_N's at i = j; later, the last is dropped: one alive
         if rows[i][3] * den <= (num - den) * start:
             continue
-        mask = top if i == j else parts[i]()
+        mask = parts[i]() if mask is None else mask
         for b0, b1 in reversed(_slices((max(low, 4) - start + 1) // 2, len(mask))):
             cut = max(num - den, 0) * (start + 2 * mask.rfind(1, 0, b0)) // den
             for p, q in reversed(_gaps(mask, start, b0, b1, min(cut, MAX_GAP) // 2)):

@@ -2,12 +2,12 @@
 
 Each segment owns the pairs (p, q) whose q it holds; its mask, from MAX_GAP
 below it, holds p too.  A gap at most GapTheorem.gap_floor on its scan slice is
-certified with no float for every real x in it, and so is, unsieved, a segment
-above lo whose segments.csv row has its largest gap within gap_floor from the
-mask's start.  Other gaps, runs of zero bytes, go to a float prescreen whose guard
-leaves the doubtful ones to exact checks; one check per gap (p, q), at x = p or at
-x = lo in it, covers every real x where log x >= e, as x(1 + c/log^e x) has slope
-1 + c(log x - e)/log^(e+1) x >= 1.
+certified with no float for every real x in it, and so is, unscanned, a segment
+whose segments.csv row has its largest gap within gap_floor from the mask's start
+to the row's high.  Other gaps, runs of zero bytes, go to a float prescreen whose
+guard leaves the doubtful ones to exact checks; one check per gap (p, q), at x = p
+or at x = lo in it, covers every real x where log x >= e, as x(1 + c/log^e x) has
+slope 1 + c(log x - e)/log^(e+1) x >= 1.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import math
 import sys
 import time
 from bisect import bisect_right
-from itertools import zip_longest
-from typing import Iterable, NamedTuple
+from itertools import chain, zip_longest
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import _table
 from .errors import DomainError, RangeError
@@ -65,22 +65,26 @@ def _prescreen(thm: GapTheorem, pairs: Iterable[tuple[int, int]], lo: int) -> li
     return found
 
 
-def _scan_segment(thm: GapTheorem, segment, lo: int) -> tuple[int, list]:
-    """Sieve one segment and scan, in slices of its mask, the pairs (p, q) whose
-    q it holds, with q > lo: the number of pairs and the violations."""
-    mask, (start, low) = segment(), segment.args[:2]
-    a = (max(lo + 1, low) - start + 1) // 2  # the byte of the first q
-    found = []
-    for b0, b1 in _slices(a, len(mask)):
-        xa = max(start + 2 * mask.rfind(1, 0, b0), lo)  # the slice's first p
-        floor = min(thm.gap_floor(xa, start + 2 * b1 - 2), MAX_GAP)
-        found += _prescreen(thm, _gaps(mask, start, b0, b1, floor // 2), lo)
-    return mask.count(1, a), found
+def _violations(thm: GapTheorem, lo: int, todo: list, mask: bytearray | None):
+    """Each scan slice's violations, in order, over todo's (segment, byte of its
+    first q): the pairs (p, q) whose q it holds, with q > lo.  mask, unless None,
+    is the first segment's, already sieved; one mask is alive at a time."""
+    for seg, a in todo:
+        start = seg.args[0]
+        mask = seg() if mask is None else mask
+        for b0, b1 in _slices(a, len(mask)):
+            xa = max(start + 2 * mask.rfind(1, 0, b0), lo)  # the slice's first p
+            floor = min(thm.gap_floor(xa, start + 2 * b1 - 2), MAX_GAP)
+            yield _prescreen(thm, _gaps(mask, start, b0, b1, floor // 2), lo)
+        mask = None  # dropped before the next segment is sieved
 
 
-def verify_theorem(thm: GapTheorem, lo: int, hi: int) -> VerificationReport:
-    """Check the pi(hi) - pi(lo) pairs of consecutive primes (p, q) with
-    lo < q <= hi, each segment by its row or else by a sieve.
+def scan_theorem(thm: GapTheorem, lo: int, hi: int) -> tuple[int, Iterator]:
+    """pi(hi) - pi(lo), the number of pairs of consecutive primes (p, q) with
+    lo < q <= hi, and a lazy iterator of their violations (p, q, threshold at
+    x = max(p, lo)) in order.  The count is the rows' of the full segments past
+    lo, and the masks' of lo's segment and of a last one that hi truncates, each
+    sieved before the scan; a segment whose row certifies it is not scanned.
 
     Zero violations certifies the statement empirically for all real x from lo
     to the last pair's start, when log lo >= e or each gap met its slice's floor.
@@ -92,18 +96,31 @@ def verify_theorem(thm: GapTheorem, lo: int, hi: int) -> VerificationReport:
         )
     if lo > hi:
         raise RangeError(f"empty verification range [{lo}, {hi}]")
-    began = time.perf_counter()
     parts = segments(hi)
     t = bisect_right(parts, lo, key=lambda seg: seg.args[1]) - 1  # it holds lo
     rows = _table("segments.csv", t, len(parts))[1]  # row i: segment i, if a row
-    pairs, violations = 0, []
+    pairs, todo = 0, []  # the segments to scan
     for seg, row in zip_longest(parts[t:], rows, fillvalue=()):
         start, low, high = seg.args[:3]
-        if row[:2] == (low, high) and low > lo and row[3] <= thm.gap_floor(start, high):
+        a = (max(lo + 1, low) - start + 1) // 2  # the byte of the first q
+        if row[:2] == (low, high) and low > lo:
             pairs += row[2]
-        else:
-            count, found = _scan_segment(thm, seg, lo)
-            pairs += count
-            violations += found
+        elif low > lo:  # one that hi truncates: sieved, counted and dropped
+            pairs += seg().count(1, a)
+        # certified if its row's gap (over a superset of its pairs) is within the floor
+        if row[:1] != (low,) or row[3] > thm.gap_floor(start, row[1]):
+            todo.append((seg, a))
+    seg = parts[t]  # lo's segment, whose mask is kept if it is to be scanned
+    mask = seg()
+    pairs += mask.count(1, (lo - seg.args[0]) // 2 + 1)  # from the first odd past lo
+    first = mask if todo and todo[0][0] is seg else None
+    return pairs, chain.from_iterable(_violations(thm, lo, todo, first))
+
+
+def verify_theorem(thm: GapTheorem, lo: int, hi: int) -> VerificationReport:
+    """scan_theorem's count and violations, listed, as a timed report."""
+    began = time.perf_counter()
+    pairs, violations = scan_theorem(thm, lo, hi)
+    violations = list(violations)
     elapsed = time.perf_counter() - began
     return VerificationReport(thm, lo, hi, pairs, violations, elapsed)

@@ -715,7 +715,7 @@ def test_verify_rows_match_the_json_encoder(violations, pairs, elapsed):
     thm = GapTheorem("custom", 58837, Fraction("0.05"), 3)
     report = VerificationReport(thm, 58837, 10**6, pairs, violations, elapsed)
     out = io.StringIO()
-    with mock.patch.object(cli, "verify_theorem", lambda *a, **kw: report):
+    with mock.patch.object(cli, "scan_theorem", lambda *a: (pairs, iter(violations))):
         with contextlib.redirect_stdout(out):
             assert main(VIOLATING_VERIFY) == (3 if violations else 0)
     want = json.JSONEncoder(indent=2).encode(old_verify_record(report)) + "\n"
@@ -762,7 +762,7 @@ def test_verify_output_bytes(capsys):
     ids=["verify", "table"],
 )
 def test_stdout_writes_are_batched(monkeypatch, argv, exit_code, max_writes):
-    # 36,275 violations make 36,279 chunks, one per row, and the CSV table
+    # 36,275 violations make 36,278 chunks, one per row, and the CSV table
     # was two prints per row; each write is a syscall when stdout is unbuffered
     default = cli._WRITE_BATCH
     runs = {}

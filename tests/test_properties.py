@@ -197,7 +197,7 @@ def _k_min_near_one(data, store):
     # within 1.1 from p_32/p_31 = 131/127 on), or just below one
     if data.draw(st.booleans()):
         t = data.draw(st.floats(min_value=math.log(1e-7), max_value=math.log(0.1)))
-        return 1 + Fraction(math.exp(t))
+        return 1 + min(Fraction(math.exp(t)), Fraction(1, 10))  # exp(log 0.1) > 0.1
     a = data.draw(st.integers(min_value=32, max_value=store.count))
     r = Fraction(store.nth_prime(a), store.nth_prime(a - 1))
     return r - data.draw(st.sampled_from([0, 1])) * Fraction(1, 10**18)

@@ -322,8 +322,9 @@ def test_segments_below_lo_are_not_sieved(monkeypatch):
     monkeypatch.setattr(primes_mod, "_segment", spy)
     report = verify_theorem(EVERY_GAP_FAILS, 1348, 2000)
     assert report.violations[0][:2] == (1327, 1361)
-    # the base primes, up to isqrt(2000) = 44, are sieved in segments of their own
-    assert sorted(low for low in lows if low > 44) == list(range(1347, 2000, 16))
+    # no segments.csv row matches a segment of 8 odds, so each past lo's is
+    # sieved twice: once for the count, once for the scan
+    assert sorted(set(lows)) == list(range(1347, 2000, 16))
 
 
 @pytest.mark.parametrize("scan_odds", [1, 3])
@@ -355,11 +356,11 @@ GATED = GapTheorem("custom", 3, Fraction(1, 2), 1)
 
 
 def _sieved(monkeypatch):
-    """The low of each segment that verify_theorem sieves."""
-    lows, scan = [], verify_mod._scan_segment
+    """The low of each segment that verify_theorem sieves, once per sieve."""
+    lows, segment = [], primes_mod._segment
     monkeypatch.setattr(
-        verify_mod, "_scan_segment",
-        lambda thm, seg, lo: lows.append(seg.args[1]) or scan(thm, seg, lo),
+        primes_mod, "_segment",
+        lambda start, low, *rest: lows.append(low) or segment(start, low, *rest),
     )
     return lows
 
@@ -377,14 +378,16 @@ def test_gate_matches_stored_table(small_tables, thm, odds, ends):
 
 
 def test_gate_passes_segments(small_tables, monkeypatch):
-    # a segment the gate passes by its row is never sieved: only the one
-    # holding lo = 1000 and the last, truncated at 20,001, are
+    # a segment the gate passes by its row is never sieved: only the last,
+    # truncated at 20,001, and the one holding lo = 1000 are, for the count,
+    # and as their rows certify them, neither is sieved again for a scan
     monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", 200)
     monkeypatch.setattr(verify_mod, "_table", small_tables)
-    sieved = _sieved(monkeypatch)
     _assert_streams_like_stored_table(GATED, 1000, 20_000)
+    sieved = _sieved(monkeypatch)
+    verify_theorem(GATED, 1000, 20_000)
     lows = [s.args[1] for s in primes_mod.segments(20_000) if s.args[2] > 1000]
-    assert sieved == [lows[0], lows[-1]] and len(lows) > 40
+    assert sieved == [lows[-1], lows[0]] and len(lows) > 40
 
 
 @pytest.mark.parametrize("lo", [2_097_100, 2_097_150, 2_097_160])
@@ -413,19 +416,22 @@ def test_gate_needs_the_gap_within_the_floor(small_tables, monkeypatch):
     # sieved; so is [1011, 1123), whose floor, 10, is below 1069 -> 1087
     monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", 56)
     monkeypatch.setattr(verify_mod, "_table", small_tables)
-    sieved = _sieved(monkeypatch)
     thm = GapTheorem("custom", 3, Fraction(3, 25), 1)
     report = _assert_streams_like_stored_table(thm, 1000, 1234)
     assert (1129, 1151) in [(p, q) for p, q, _ in report.violations]
+    sieved = _sieved(monkeypatch)
+    verify_theorem(thm, 1000, 1234)
     assert sieved == [899, 1011, 1123]  # lo = 1000 lies in [899, 1011)
 
 
-# fails on 1,868 gaps in [10^8, 2*10^8], and no segment's row passes its floor
+# fails on 1,868 gaps in [10^8, 2*10^8], and no segment's row passes its
+# floor: the last segment, which hi truncates, is sieved for the count and again
+# for the scan
 SIEVES_ALL = GapTheorem("custom", 3, Fraction(1, 3000), 2)
 
 
 @pytest.mark.parametrize(
-    "hi,sieved,violations", [(11 * 10**7, 6, 772), (2 * 10**8, 49, 1868)]
+    "hi,sieved,violations", [(11 * 10**7, 7, 772), (2 * 10**8, 50, 1868)]
 )
 def test_violations_where_no_row_certifies(hi, sieved, violations, monkeypatch):
     lows = _sieved(monkeypatch)
@@ -464,6 +470,50 @@ def test_table_and_sieve_agree(thm, lo, hi, monkeypatch):
     monkeypatch.setattr(verify_mod, "_table", lambda *args: ("", []))  # sieve all
     got = verify_theorem(thm, lo, hi)
     assert (got.pairs_checked, got.violations) == (want.pairs_checked, want.violations)
+
+
+# the lows of the segments to 2.1*10^7, and the integers just below them
+EDGES = [x for seg in primes_mod.segments(21_000_000)
+         for x in (seg.args[1] - 1, seg.args[1]) if x >= 3]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    thm=st.sampled_from([EVERY_GAP_FAILS, GATED]),
+    ends=st.lists(st.integers(3, 21_000_000) | st.sampled_from(EDGES),
+                  min_size=2, max_size=2),
+)
+@example(thm=GATED, ends=[2_097_155, 6_291_458])  # lo on a low, hi + 1 on a high
+@example(thm=GATED, ends=[4_194_400, 4_200_000])  # lo and hi in one segment
+@example(thm=EVERY_GAP_FAILS, ends=[3, 21_000_000])
+def test_pair_count_comes_before_the_scan(store_21m, thm, ends):
+    lo, hi = sorted(ends)
+    pairs, _ = verify_mod.scan_theorem(thm, lo, hi)  # nothing scanned yet
+    assert pairs == store_21m.prime_count(hi) - store_21m.prime_count(lo)
+
+
+def test_drained_scan_holds_one_mask_and_one_slice():
+    # all but 476 of the pairs break it, some 2,400 in a slice of 2^14 odds;
+    # verify_theorem's list of all 162,184 peaks at about 20 MiB
+    thm = GapTheorem("custom", 3, Fraction(1, 5000), 2)
+    tracemalloc.start()
+    try:
+        pairs, violations = verify_mod.scan_theorem(thm, 3, 2_200_000)
+        drained = sum(1 for _ in violations)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (pairs, drained) == (162_660, 162_184)
+    assert peak < 4 * 2**20
+
+
+def test_scan_sieves_only_the_counted_segments_before_it_is_drained(monkeypatch):
+    # segments from 3, 2097155, 4194307 and 6291459, which hi = 7*10^6
+    # truncates: it is sieved first for the count, then lo's, which is kept
+    lows = _sieved(monkeypatch)
+    pairs, violations = verify_mod.scan_theorem(EVERY_GAP_FAILS, 10**6, 7 * 10**6)
+    assert next(violations)[:2] == (999_983, 1_000_003)
+    assert lows == [6_291_459, 3]
 
 
 # The maximal prime gaps from 2,010,733 to 2*10^9, as (gap, lower prime):
