@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 
 from . import core
 from .errors import KRamanujanError
@@ -25,13 +24,13 @@ from .verify import verify_theorem  # noqa: F401  (perfbench wraps this binding)
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATIONS = 3
-# stdout takes one write per this many chunks, not one per chunk; a chunk is
-# a verify violation row, a CSV row or a JSON encoder token.
-# Semantically invisible: stdout is identical for any positive value (tested).
-_WRITE_BATCH = 4096
+# stdout takes one write once this many characters are buffered, not one per
+# chunk (a JSON encoder token, a CSV row or a batch of this many verify rows).
+# Semantically invisible: stdout is identical for any positive values (tested).
+_WRITE_SIZE, _ROW_BATCH = 1 << 16, 256
 # One verify violation, after its separator, and the record's last key; json
 # writes a finite float as float.__repr__, which is also its str.
-_ROW = '%s{\n      "p": %d,\n      "next_p": %d,\n      "threshold": %s\n    }'
+_ROW = ',\n    {\n      "p": %d,\n      "next_p": %d,\n      "threshold": %s\n    }'
 _TAIL = ',\n  "elapsed_seconds": %r\n}\n'
 
 
@@ -60,9 +59,14 @@ def _resolve_theorem(args) -> GapTheorem:
 
 
 def _write(chunks) -> None:
-    chunks = iter(chunks)
-    for batch in iter(lambda: list(islice(chunks, _WRITE_BATCH)), []):
-        sys.stdout.write("".join(batch))
+    buffered, size = [], 0
+    for chunk in chunks:
+        buffered.append(chunk)
+        size += len(chunk)
+        if size >= _WRITE_SIZE:
+            sys.stdout.write("".join(buffered))
+            buffered, size = [], 0
+    sys.stdout.write("".join(buffered))  # the tail, under the cap
 
 
 def _emit(record: dict) -> None:
@@ -149,16 +153,18 @@ def cmd_verify(args) -> int:
               "to": args.to, "pairs_checked": pairs, "violations": []}
     # the record's one list; its rows are streamed as indent=2 would write them
     head = json.JSONEncoder(indent=2).encode(record).partition("[]")[0]
-    first = [*islice(violations, 1)]  # a row: "[\n", and exit 3
-    seps = chain(["[\n    "], repeat(",\n    "))
+    # one % per batch of rows; json spells inf, -inf and nan as below, and no
+    # other word of a row holds "inf" or "nan"
     rows = (
-        _ROW % (sep, p, q, thr if math.isfinite(thr) else json.dumps(thr))
-        for sep, (p, q, thr) in zip(seps, chain(first, violations))
+        (_ROW * len(b) % tuple(chain.from_iterable(b)))
+        .replace("inf", "Infinity").replace("nan", "NaN")
+        for b in iter(lambda: [*islice(violations, _ROW_BATCH)], [])
     )
-    # taken when pulled: after the scan and all but the last batch of rows
+    first = next(rows, "").replace(",", "[", 1)  # a row opens the list, and exit 3
+    # taken when pulled: after the scan and every write but the tail's
     seconds = (round(time.perf_counter() - began, 3) for _ in "_")
     end = "\n  ]" if first else "[]"
-    _write(chain([head], rows, [end], map(_TAIL.__mod__, seconds)))
+    _write(chain([head, first], rows, [end], map(_TAIL.__mod__, seconds)))
     return EXIT_VIOLATIONS if first else EXIT_OK
 
 

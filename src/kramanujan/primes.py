@@ -28,7 +28,7 @@ MAX_GAP = 292
 _SEGMENT_ODDS = 1 << 20
 
 # Mask bytes per scan slice, each with its own cut.  Semantically invisible (tested).
-_SCAN_ODDS = 1 << 14
+_SCAN_ODDS = 1 << 12
 
 # A segment starts from a tiled pattern, 3*5*7*11*13 = 15015 odds (15 KB) long,
 # that already strikes the odd multiples of these primes.

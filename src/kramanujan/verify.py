@@ -46,8 +46,9 @@ class VerificationReport(NamedTuple):
 def _prescreen(thm: GapTheorem, pairs: Iterable[tuple[int, int]], lo: int) -> list:
     """Violations (p, q, threshold at x = max(p, lo)) among gap pairs: the float
     prescreen, then exact rechecks."""
-    c = float(thm.c) if thm.c <= sys.float_info.max else math.inf
-    ln_c = math.log(thm.c.numerator) - math.log(thm.c.denominator)  # c > 0
+    num, den = thm.c.numerator, thm.c.denominator  # c > 0; no Fraction compare
+    c = num / den if num <= int(sys.float_info.max) * den else math.inf
+    ln_c = math.log(num) - math.log(den)
     e, log, guard, found = thm.e, math.log, PRESCREEN_GUARD, []
     for p, q in pairs:
         x = p if p > lo else lo  # only a segment's first pair can start below lo
@@ -67,15 +68,17 @@ def _prescreen(thm: GapTheorem, pairs: Iterable[tuple[int, int]], lo: int) -> li
 
 def _violations(thm: GapTheorem, lo: int, todo: list, mask: bytearray | None):
     """Each scan slice's violations, in order, over todo's (segment, byte of its
-    first q): the pairs (p, q) whose q it holds, with q > lo.  mask, unless None,
-    is the first segment's, already sieved; one mask is alive at a time."""
+    first q): the pairs (p, q) whose q it holds, with q > lo; a slice with no gap
+    past its floor yields nothing.  mask, unless None, is the first segment's,
+    already sieved; one mask is alive at a time."""
     for seg, a in todo:
         start = seg.args[0]
         mask = seg() if mask is None else mask
         for b0, b1 in _slices(a, len(mask)):
             xa = max(start + 2 * mask.rfind(1, 0, b0), lo)  # the slice's first p
             floor = min(thm.gap_floor(xa, start + 2 * b1 - 2), MAX_GAP)
-            yield _prescreen(thm, _gaps(mask, start, b0, b1, floor // 2), lo)
+            if gaps := _gaps(mask, start, b0, b1, floor // 2):
+                yield _prescreen(thm, gaps, lo)
         mask = None  # dropped before the next segment is sieved
 
 

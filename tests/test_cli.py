@@ -8,8 +8,10 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -670,11 +672,36 @@ def mask_elapsed(text):
 
 
 class CountingStdout(io.StringIO):
-    writes = 0
+    def __init__(self):
+        super().__init__()
+        self.sizes = []  # each write's length
 
     def write(self, s):
-        self.writes += 1
+        self.sizes.append(len(s))
         return super().write(s)
+
+
+class WriteSizes(io.TextIOBase):
+    """A stdout that keeps each write's length and drops its text."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def write(self, s):
+        self.sizes.append(len(s))
+        return len(s)
+
+
+def capped_writes(chunks, cap):
+    """The write lengths of _write's rule: one write each time the buffered
+    text reaches cap, then the tail."""
+    sizes, size = [], 0
+    for n in chunks:
+        size += n
+        if size >= cap:
+            sizes.append(size)
+            size = 0
+    return [*sizes, size]
 
 
 def old_verify_record(report):
@@ -695,7 +722,7 @@ def old_verify_record(report):
 
 
 THRESHOLDS = st.floats(allow_nan=False) | st.sampled_from(
-    [5e-324, 1e-7, 1e16, 1e22, 0.1, math.inf]
+    [5e-324, 1e-7, 1e16, 1e22, 0.1, math.inf, -math.inf, math.nan]
 )
 VIOLATION = st.tuples(st.integers(2, 2**31), st.integers(2, 2**31), THRESHOLDS)
 
@@ -707,16 +734,26 @@ VIOLATION = st.tuples(st.integers(2, 2**31), st.integers(2, 2**31), THRESHOLDS)
     ),
     pairs=st.integers(0, 2**31),
     elapsed=st.floats(0, 1e5),
+    batch=st.sampled_from([1, 2, 7, cli._ROW_BATCH]),
 )
-@example(violations=[(2**31 - 1, 2**31, 1e22)] * 9000, pairs=9000, elapsed=0.0)
-def test_verify_rows_match_the_json_encoder(violations, pairs, elapsed):
+@example(
+    violations=[(2**31 - 1, 2**31, 1e22)] * 9000, pairs=9000, elapsed=0.0,
+    batch=cli._ROW_BATCH,
+)
+@example(
+    violations=[(7, 11, math.inf), (13, 17, -math.inf), (19, 23, 0.1)] * 3,
+    pairs=9, elapsed=0.0, batch=2,
+)
+def test_verify_rows_match_the_json_encoder(violations, pairs, elapsed, batch):
     # the hand-written rows and separators are byte for byte what
-    # JSONEncoder(indent=2) writes, across batch seams too
+    # JSONEncoder(indent=2) writes, across row batch and write seams too,
+    # non-finite thresholds included
     thm = GapTheorem("custom", 58837, Fraction("0.05"), 3)
     report = VerificationReport(thm, 58837, 10**6, pairs, violations, elapsed)
     out = io.StringIO()
     with mock.patch.object(cli, "scan_theorem", lambda *a: (pairs, iter(violations))):
-        with contextlib.redirect_stdout(out):
+        with mock.patch.object(cli, "_ROW_BATCH", batch), \
+                contextlib.redirect_stdout(out):
             assert main(VIOLATING_VERIFY) == (3 if violations else 0)
     want = json.JSONEncoder(indent=2).encode(old_verify_record(report)) + "\n"
     assert mask_elapsed(out.getvalue()) == mask_elapsed(want)
@@ -757,30 +794,51 @@ def test_verify_output_bytes(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv,exit_code,max_writes",
-    [(VIOLATING_VERIFY, 3, 9), (["table"], 0, 1)],
-    ids=["verify", "table"],
+    "argv,exit_code", [(VIOLATING_VERIFY, 3), (["table"], 0)], ids=["verify", "table"]
 )
-def test_stdout_writes_are_batched(monkeypatch, argv, exit_code, max_writes):
-    # 36,275 violations make 36,278 chunks, one per row, and the CSV table
-    # was two prints per row; each write is a syscall when stdout is unbuffered
-    default = cli._WRITE_BATCH
-    runs = {}
-    for batch in (1, 7, default):
-        monkeypatch.setattr(cli, "_WRITE_BATCH", batch)
+def test_stdout_writes_are_batched(monkeypatch, argv, exit_code):
+    # 36,275 violations are 3.4 MB of text, and the CSV table was two prints
+    # per row; each write is a syscall when stdout is unbuffered.  A cap of 1
+    # writes each chunk alone, so its writes give the chunks' lengths.
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    default, runs = cli._WRITE_SIZE, {}
+    for cap in (1, 7, default):
+        monkeypatch.setattr(cli, "_WRITE_SIZE", cap)
         out = CountingStdout()
         with contextlib.redirect_stdout(out):
             assert main(argv) == exit_code
-        runs[batch] = (mask_elapsed(out.getvalue()), out.writes)
-    text, chunks = runs[1]
-    for batch, (other, writes) in runs.items():
-        # batch seams do not show, and each batch is one write
+        runs[cap] = (out.getvalue(), out.sizes)
+    text, sizes = runs[1]
+    chunks = sizes[:-1]  # and the tail, empty
+    assert sizes[-1] == 0 and all(chunks)
+    for cap, (other, sizes) in runs.items():
+        # cap seams do not show, and a write is one crossing of the cap or the tail
         assert other == text
-        assert writes == math.ceil(chunks / batch)
-    assert runs[default][1] <= max_writes
+        assert sizes == capped_writes(chunks, cap)
+    assert len(runs[default][1]) <= math.ceil(len(text) / default) + 1
     if argv[0] == "verify":
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
         assert len(json.loads(text)["violations"]) == 36275
+
+
+def test_violating_verify_holds_one_mask_and_small_writes():
+    # 36,275 rows, 3.4 MB of text, stream through one 0.5 MB segment mask, a
+    # scan slice of pairs, a batch of rows and a buffer of about _WRITE_SIZE
+    with contextlib.redirect_stdout(WriteSizes()):  # the modules it imports lazily
+        assert main(["verify", "--theorem", "axler", "--from", "58837", "--to", "60000"]) == 0
+    sink = WriteSizes()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert main(VIOLATING_VERIFY) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the longest row: 10-digit primes and a 24-character threshold
+    batch = cli._ROW_BATCH * len(cli._ROW % (2**31, 2**31, -2.2250738585072014e-308))
+    assert sum(sink.sizes) > 3 * 10**6
+    assert max(sink.sizes) < cli._WRITE_SIZE + batch
+    assert peak < 1.25 * 2**20
 
 
 REPO = Path(__file__).resolve().parents[1]

@@ -493,7 +493,7 @@ def test_pair_count_comes_before_the_scan(store_21m, thm, ends):
 
 
 def test_drained_scan_holds_one_mask_and_one_slice():
-    # all but 476 of the pairs break it, some 2,400 in a slice of 2^14 odds;
+    # all but 476 of the pairs break it, some 560 in a slice of 2^12 odds;
     # verify_theorem's list of all 162,184 peaks at about 20 MiB
     thm = GapTheorem("custom", 3, Fraction(1, 5000), 2)
     tracemalloc.start()
@@ -664,10 +664,11 @@ def test_floor_matches_float_path_on_param_shapes(scan_odds, monkeypatch):
     assert _reports(PARAM_SHAPES) == want
 
 
-@pytest.mark.parametrize("thm,pairs", [(AXLER, 28), (DUSART, 3), (TRUDGIAN, 5)])
+@pytest.mark.parametrize("thm,pairs", [(AXLER, 12), (DUSART, 3), (TRUDGIAN, 5)])
 def test_pairs_reaching_the_float_path(thm, pairs, monkeypatch):
     # of the 450,000-660,000 pairs to 10^7, the exact floor passes all but
-    # these with no float; a weaker floor sends more pairs to the prescreen
+    # these with no float; a weaker floor, or a coarser slice, sends more
+    # pairs to the prescreen
     seen, prescreen = [], verify_mod._prescreen
 
     def spy(thm, gaps, lo):
