@@ -7,11 +7,13 @@ Usage, from the repository root (the directory defaults to the package's):
     PYTHONPATH=src python scripts/records.py [DIR]
 
 segments.csv has a header line, then one row low,high,primes,gap,prev per
-segment [low, high) of primes.segments(horizon): the number of primes in
-[low, high), and the largest gap q - p of the pairs (p, q) whose q lies in
-[low, high), with its lower prime p (the first on a tie; 0,0 when the segment
-owns no pair).  Each mask also holds the prime before its segment, so no row
-needs another.
+segment [low, high) of primes.segments(horizon), 1,018 rows: segments of 2^17
+integers up to 4,194,307, twice as long each octave after, and 2^21 from
+33,554,435 on, so row i is segment i of the segments to any x.  A row holds
+the number of primes in [low, high), and the largest gap q - p of the pairs
+(p, q) whose q lies in [low, high), with its lower prime p (the first on a
+tie; 0,0 when the segment owns no pair).  Each mask also holds the prime
+before its segment, so no row needs another.
 
 records.csv has a header line with the floor and horizon.  Each row
 a,prime,prev_prime is an index a <= pi(horizon) whose gap ratio

@@ -139,11 +139,17 @@ def table_rows(k_min: Fraction, index_limit: int) -> list[BreakpointEntry]:
         if rows[i][3] * den <= (num - den) * start:
             continue
         mask = parts[i]() if mask is None else mask
+        b, e = (low - start) // 2, (rows[i][1] - start + 1) // 2  # the row's bytes
         for b0, b1 in reversed(_slices((max(low, 4) - start + 1) // 2, len(mask))):
             cut = max(num - den, 0) * (start + 2 * mask.rfind(1, 0, b0)) // den
             for p, q in reversed(_gaps(mask, start, b0, b1, min(cut, MAX_GAP) // 2)):
-                if q * den > num * p:  # a row, indexed by pi(low - 1) and the mask
-                    a = pi[i] + mask.count(1, (low - start) // 2, (q - start) // 2 + 1)
+                if q * den > num * p:  # a row, indexed by the mask's count of the
+                    # primes from low to q, or from q to the row's high if nearer
+                    c = (q - start) // 2 + 1
+                    if len(mask) == e and 2 * c > b + e:
+                        a = pi[i + 1] - mask.count(1, c)
+                    else:
+                        a = pi[i] + mask.count(1, b, c)
                     out.append(BreakpointEntry(a, q, p, Fraction(q, p)))
                     num, den = q, p
     if 3 * den > 2 * num:  # the pair (2, 3), which no mask holds

@@ -21,10 +21,15 @@ DEFAULT_SIEVE_BUDGET = 2_000_000_000
 # Math. Comp. 83, 2014), so a mask starting this far below its segment holds a prime.
 MAX_GAP = 292
 
-# Odd integers per segment.  The 1 MiB mask stays in a 2 MiB L2 cache
-# (sieving to 1e8 takes 0.31 s at 2^19, 0.28 s at 2^20, 0.33 s at 2^21 and
-# 0.38 s at 2^22).  Semantically invisible: results are identical for any
-# positive value (tested).
+# Odd integers per segment, at most.  The segment from low spans 2^17 integers
+# to 2^22, then 2^(bits(low) - 5), so its mask of low/64 to low/32 bytes grows
+# with the x a call needs (64 KiB below 4.2M), while it still has over 100 odds
+# per base prime to strike, whose Python loop is the per-segment cost.  A
+# boundary depends on low alone, so segments(limit) is segments(budget) but
+# for its last, and each span divides the next, so 3 + m*2^21 stays a low.
+# The cap's 1 MiB mask stays in a 2 MiB L2 cache (sieving to 1e8 took 0.31 s
+# at 2^19, 0.28 s at 2^20, 0.33 s at 2^21 and 0.38 s at 2^22, uniformly).
+# Semantically invisible: results are identical for any positive value (tested).
 _SEGMENT_ODDS = 1 << 20
 
 # Mask bytes per scan slice, each with its own cut.  Semantically invisible (tested).
@@ -111,12 +116,13 @@ def segments(limit: int) -> list[partial]:
     wheel = bytearray([1]) * math.prod(_WHEEL)  # byte j stands for 2j + 1
     for p in _WHEEL:
         wheel[p // 2 :: p] = bytes(len(range(p // 2, len(wheel), p)))
-    base, wheel, span = [*_WHEEL, *odd], bytes(wheel), 2 * _SEGMENT_ODDS  # wheel first
-    return [
-        partial(_segment, max(3, low - MAX_GAP), low, min(low + span, limit + 1),
-                base, wheel)
-        for low in range(3, limit + 1, span)
-    ]
+    base, wheel, parts, low = [*_WHEEL, *odd], bytes(wheel), [], 3  # wheel first
+    while low <= limit:
+        high = low + min(2 * _SEGMENT_ODDS, 1 << max(17, low.bit_length() - 5))
+        parts.append(partial(_segment, max(3, low - MAX_GAP), low, min(high, limit + 1),
+                             base, wheel))
+        low = high
+    return parts
 
 
 def record_prefix(limit: int, k: Fraction, n: int = 1) -> int:
@@ -138,9 +144,10 @@ def _slices(a: int, b: int) -> list[tuple[int, int]]:
 def _gaps(mask: bytearray, start: int, b0: int, b1: int, half: int) -> list:
     """The pairs (p, q) of consecutive primes of an odd mask from start, q at a
     byte in [b0, b1), with q - p > 2 * half: a q after half zero bytes at least."""
-    if 3 * half < start.bit_length():  # 2 * half < ~log x, the mean gap: list all
+    x = start + 2 * b0  # the slice's first odd
+    if 3 * half < x.bit_length():  # 2 * half < ~log x, the mean gap: list all
         primes = [start + 2 * mask.rfind(1, 0, b0),
-                  *compress(range(start + 2 * b0, start + 2 * b1, 2), mask[b0:b1])]
+                  *compress(range(x, start + 2 * b1, 2), mask[b0:b1])]
         return [(p, q) for p, q in zip(primes, primes[1:]) if q - p > 2 * half]
     run, found = bytes(half) + b"\1", []
     j = mask.find(run, max(b0 - half, 0), b1)

@@ -263,8 +263,10 @@ def test_table_sieve_limit_reaches_p_n(n, p_n):
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=2, max_value=98_222_288))
-@example(155_611)  # p_n is the last prime of the first segment
-@example(155_612)  # and the first prime of the second
+@example(12_251)  # p_n is the last prime of the first segment
+@example(12_252)  # and the first prime of the second
+@example(155_611)  # the last prime below the seam 2,097,155
+@example(155_612)  # and the first past it
 @example(98_222_287)
 @example(98_222_288)
 def test_table_sieve_limit_within_the_budget_up_to_pi_of_it(n):
@@ -822,7 +824,7 @@ def test_stdout_writes_are_batched(monkeypatch, argv, exit_code):
 
 
 def test_violating_verify_holds_one_mask_and_small_writes():
-    # 36,275 rows, 3.4 MB of text, stream through one 0.5 MB segment mask, a
+    # 36,275 rows, 3.4 MB of text, stream through one 64 KiB segment mask, a
     # scan slice of pairs, a batch of rows and a buffer of about _WRITE_SIZE
     with contextlib.redirect_stdout(WriteSizes()):  # the modules it imports lazily
         assert main(["verify", "--theorem", "axler", "--from", "58837", "--to", "60000"]) == 0

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kramanujan.primes as primes_mod
 from kramanujan import DomainError, RangeError, ResourceLimitError, sieve_upto
@@ -147,6 +149,40 @@ def test_sieve_limits_straddling_segments(monkeypatch):
         for limit in range(2, 301):
             want = [p for p in expected if p <= limit]
             assert sieve_upto(limit).primes.tolist() == want, (odds, limit)
+
+
+# (low, high) of each segment to the budget
+BUDGET_SEGMENTS = [seg.args[1:3] for seg in primes_mod.segments(DEFAULT_SIEVE_BUDGET)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, DEFAULT_SIEVE_BUDGET)
+       | st.sampled_from([low + d for low, _ in BUDGET_SEGMENTS for d in (-1, 0, 1)]))
+def test_segments_are_the_budgets_to_the_last(limit):
+    # a segment's bounds depend on its low alone, so to any limit the segments
+    # are the budget's, the last truncated at limit + 1: even spans that tile
+    # [3, limit], each mask from MAX_GAP below its low
+    parts = primes_mod.segments(limit)
+    got = [seg.args[1:3] for seg in parts]
+    assert got[:-1] == BUDGET_SEGMENTS[: len(got)][:-1]
+    assert [3, *(high for _, high in got)] == [*(low for low, _ in got),
+                                               max(limit + 1, 3)]
+    if got:
+        low, high = BUDGET_SEGMENTS[len(got) - 1]
+        assert got[-1] == (low, min(high, limit + 1)) and high > limit
+    assert all((high - low) % 2 == 0 for low, high in BUDGET_SEGMENTS)
+    assert [seg.args[0] for seg in parts] == [max(3, low - primes_mod.MAX_GAP)
+                                             for low, _ in got]
+
+
+def test_segments_grow_with_their_low():
+    # 2^17 integers (a 64 KiB mask) to 4,194,307, doubling each octave to
+    # 2^21 from 33,554,435; every 2^21 seam of a uniform layout is a low
+    spans = {low: high - low for low, high in BUDGET_SEGMENTS}
+    assert spans[3] == spans[4_063_235] == 2**17
+    assert spans[4_194_307] == 2**18 and spans[33_554_435] == 2**21
+    assert all(span <= 2 * primes_mod._SEGMENT_ODDS for span in spans.values())
+    assert set(range(3, DEFAULT_SIEVE_BUDGET, 2**21)) <= spans.keys()
 
 
 def test_prime_count_basics(store_60k):

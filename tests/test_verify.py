@@ -393,8 +393,9 @@ def test_gate_passes_segments(small_tables, monkeypatch):
 @pytest.mark.parametrize("lo", [2_097_100, 2_097_150, 2_097_160])
 @pytest.mark.parametrize("scan_odds", [1, 3])
 def test_seam_pair_at_production_size(lo, scan_odds, monkeypatch):
-    # the first seam, 3 + 2^21 = 2,097,155, lies inside the gap 2097143 -> 2097169
-    assert primes_mod.segments(2_097_200)[1].args[1] == 2_097_155
+    # the seam 3 + 2^21 = 2,097,155, a segment's low, lies inside the gap
+    # 2097143 -> 2097169
+    assert 2_097_155 in [seg.args[1] for seg in primes_mod.segments(2_097_200)]
     monkeypatch.setattr(primes_mod, "_SCAN_ODDS", scan_odds)
     report = _assert_streams_like_stored_table(EVERY_GAP_FAILS, lo, 2_097_200)
     pairs = [(p, q) for p, q, _ in report.violations]
@@ -446,11 +447,13 @@ SIEVED = [
     # the segment holding lo alone: the last, [1998585859, 2000000001), is a
     # row, as the budget truncates it there too
     (DUSART, DUSART.x0, 2 * 10**9, 1, 98_222_287 - 33_608),
-    # and the last, truncated at 10^8 + 1; trudgian's floor also fails the
-    # row of [4194307, 6291459), whose gap 154 after 4652353 is above 130
-    (AXLER, AXLER.x0, 10**8, 2, 5_761_455 - 5_949),
+    # and the last, truncated at 10^8 + 1; axler's floor also fails the row
+    # of [131075, 262147), whose gap 86 after 155921 is above it, and
+    # trudgian's the rows of [3014659, 3145731), [3801091, 3932163) and
+    # [4456451, 4718595), whose gap 154 after 4652353 is above 130
+    (AXLER, AXLER.x0, 10**8, 3, 5_761_455 - 5_949),
     (DUSART, DUSART.x0, 10**8, 2, 5_761_455 - 33_608),
-    (TRUDGIAN, TRUDGIAN.x0, 10**8, 3, 5_761_455 - 209_989),
+    (TRUDGIAN, TRUDGIAN.x0, 10**8, 5, 5_761_455 - 209_989),
     # near 10^8 its floor is below the largest gap of about half the rows
     (GapTheorem("custom", 3, Fraction(1, 2000), 2), 10**8, 2 * 10**8, 25,
      11_078_937 - 5_761_455),
@@ -507,20 +510,41 @@ def test_drained_scan_holds_one_mask_and_one_slice():
     assert peak < 4 * 2**20
 
 
+def test_drained_scan_below_4_2m_holds_a_64_kib_mask():
+    # c near Trudgian's 1/111 breaks 19,389 of the 214,842 pairs to 2,970,608,
+    # where each mask spans 2^17 integers, 64 KiB (one from 3 to 2^21 was
+    # 1 MiB); a first scan fills CPython's free lists of tuples and floats,
+    # which tracemalloc would count once
+    thm = GapTheorem("custom", 2, Fraction("0.00905"), 2)
+    assert sum(1 for _ in verify_mod.scan_theorem(thm, 3, 200_000)[1]) > 0
+    tracemalloc.start()
+    try:
+        pairs, violations = verify_mod.scan_theorem(thm, 3, 2_970_608)
+        drained = sum(1 for _ in violations)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (pairs, drained) == (214_842, 19_389)
+    assert peak < 0.35 * 2**20
+
+
 def test_scan_sieves_only_the_counted_segments_before_it_is_drained(monkeypatch):
-    # segments from 3, 2097155, 4194307 and 6291459, which hi = 7*10^6
+    # segments from 917507, which holds lo, to 6815747, which hi = 7*10^6
     # truncates: it is sieved first for the count, then lo's, which is kept
     lows = _sieved(monkeypatch)
     pairs, violations = verify_mod.scan_theorem(EVERY_GAP_FAILS, 10**6, 7 * 10**6)
     assert next(violations)[:2] == (999_983, 1_000_003)
-    assert lows == [6_291_459, 3]
+    assert lows == [6_815_747, 917_507]
 
 
-# The maximal prime gaps from 2,010,733 to 2*10^9, as (gap, lower prime):
-# Oliveira e Silva, Herzog and Pardi, Math. Comp. 83 (2014); OEIS A005250/A002386
+# The maximal prime gaps from 31,397 to 2*10^9, as (gap, lower prime), but
+# 96 after 360,653 and 118 after 1,349,533, each followed by a larger one in
+# its segment: Oliveira e Silva, Herzog and Pardi, Math. Comp. 83 (2014);
+# OEIS A005250/A002386
 PUBLISHED_MAXIMAL_GAPS = [
-    (148, 2_010_733), (154, 4_652_353), (180, 17_051_707), (210, 20_831_323),
-    (220, 47_326_693), (222, 122_164_747), (234, 189_695_659),
+    (72, 31_397), (86, 155_921), (112, 370_261), (114, 492_113),
+    (132, 1_357_201), (148, 2_010_733), (154, 4_652_353), (180, 17_051_707),
+    (210, 20_831_323), (220, 47_326_693), (222, 122_164_747), (234, 189_695_659),
     (248, 191_912_783), (250, 387_096_133), (282, 436_273_009),
     (288, 1_294_268_491), (292, 1_453_168_141),
 ]
@@ -537,7 +561,7 @@ class TestSegmentTable:
         assert core._table("segments.csv")[0] == "low,high,primes,gap,prev\n"
         parts = primes_mod.segments(primes_mod.DEFAULT_SIEVE_BUDGET)
         assert [row[:2] for row in rows] == [seg.args[1:3] for seg in parts]
-        assert len(rows) == 954
+        assert len(rows) == 1018
 
     def test_rows_to_3e8_are_a_fresh_scan(self, rows, records_script):
         limit = 3 * 10**8
@@ -551,7 +575,7 @@ class TestSegmentTable:
 
     def test_rows_by_index(self, rows):
         assert core._table("segments.csv", 5, 8)[1] == rows[5:8]
-        assert core._table("segments.csv", 953, 960)[1] == rows[953:]
+        assert core._table("segments.csv", 1017, 1024)[1] == rows[1017:]
 
     def test_largest_gap_is_max_gap(self, rows):
         assert max(row[3] for row in rows) == primes_mod.MAX_GAP
@@ -567,8 +591,9 @@ class TestSegmentTable:
 def test_each_command_parses_only_the_rows_it_walks(monkeypatch, capsys):
     # compute reads records.csv and bound no table; table reads the tables'
     # horizon from records.csv's header line, and it and verify parse only the
-    # segments.csv rows of the segments they walk: here row 0, as the paper's
-    # record prefix, 325,893, and 60,000 lie in the first segment
+    # segments.csv rows of the segments they walk: here rows 0 to 2, as the
+    # paper's record prefix, 325,893, lies in the third segment, and row 0 for
+    # verify, as 60,000 lies in the first
     read, table = [], core._table
 
     def spy(name, *rows):
@@ -585,7 +610,7 @@ def test_each_command_parses_only_the_rows_it_walks(monkeypatch, capsys):
         "verify --theorem axler --from 58837 --to 60000",
     ]:
         assert cli.main(argv.split()) == 0
-    walk = [("records.csv", 0, 0), ("segments.csv", 0, 1)]
+    walk = [("records.csv", 0, 0), ("segments.csv", 0, 3)]
     assert read == [("records.csv",), *walk, *walk, ("segments.csv", 0, 1)]
 
 
@@ -628,6 +653,25 @@ def test_gap_floor_above_two_to_the_31():
                 got += primes_mod._gaps(mask, start, b0, b1, half)
             assert got == [(a, b) for a, b in pairs if b - a > 2 * half]
             assert verify_mod._prescreen(thm, got, lo) == want
+
+
+def test_gap_branches_agree_on_a_mask_from_three():
+    # a slice at 100,001 (17 bits) of the mask from 3: a half below 6 lists
+    # every prime, a larger one finds runs of half zero bytes, and each gives
+    # the pairs past 2 * half that the list of every pair holds
+    class Finds(bytearray):
+        def find(self, *args):
+            calls.append(args)
+            return super().find(*args)
+
+    mask = Finds(primes_mod.segments(200_000)[0]())
+    b0 = (100_001 - 3) // 2
+    every = primes_mod._gaps(mask, 3, b0, b0 + 4096, -1)
+    for half in range(12):
+        calls = []
+        got = primes_mod._gaps(mask, 3, b0, b0 + 4096, half)
+        assert got == [(p, q) for p, q in every if q - p > 2 * half]
+        assert bool(calls) == (half >= 6), half  # which branch ran
 
 
 def _reports(cases):
