@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -154,12 +155,12 @@ def cmd_verify(args) -> int:
     # the record's one list; its rows are streamed as indent=2 would write them
     head = json.JSONEncoder(indent=2).encode(record).partition("[]")[0]
     # one % per batch of rows; json spells inf, -inf and nan as below, and no
-    # other word of a row holds "inf" or "nan"
-    rows = (
-        (_ROW * len(b) % tuple(chain.from_iterable(b)))
-        .replace("inf", "Infinity").replace("nan", "NaN")
-        for b in iter(lambda: [*islice(violations, _ROW_BATCH)], [])
-    )
+    # other word of a row holds "inf" or "nan", so only a batch whose
+    # thresholds do not sum to a finite float is searched for them
+    rows = (text if math.isfinite(sum(v[2] for v in b))
+            else text.replace("inf", "Infinity").replace("nan", "NaN")
+            for b in iter(lambda: [*islice(violations, _ROW_BATCH)], [])
+            for text in [_ROW * len(b) % tuple(chain.from_iterable(b))])
     first = next(rows, "").replace(",", "[", 1)  # a row opens the list, and exit 3
     # taken when pulled: after the scan and every write but the tail's
     seconds = (round(time.perf_counter() - began, 3) for _ in "_")

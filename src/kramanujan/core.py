@@ -7,17 +7,16 @@ from __future__ import annotations
 import math
 import os
 import re
-from bisect import bisect_left
 from contextlib import suppress
 from fractions import Fraction
-from itertools import accumulate, compress, count, islice
+from itertools import compress, count, islice
 from operator import sub
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import DomainError, InconclusiveError, RangeError, UnsupportedRangeError
 from .errors import ResourceLimitError
-from .primes import MAX_GAP, PrimeStore, _gaps, _slices, record_prefix, segments
-from .primes import sieve_upto
+from .primes import MAX_GAP, PrimeStore, _gaps, _nth_one, _slices, record_prefix
+from .primes import segments, sieve_upto
 from .theorems import BUILTIN_THEOREMS, GapTheorem
 
 _RATIONAL = re.compile(r"^\s*(\d+(?:\.\d{1,15})?|\d+/0*[1-9]\d*)\s*$")
@@ -101,7 +100,7 @@ def first_k_ramanujan(k: Fraction) -> Answer:
     of records.csv, the record table to its horizon, since no ratio past the bound
     exceeds k and k exceeds the table's floor (ResourceLimitError past it)."""
     bound = certified_bound(k)
-    header, rows = _table("records.csv")
+    header, *rows = _table("records.csv")
     if bound > (horizon := int(header.split()[-1])):
         raise ResourceLimitError(f"certified bound {bound} exceeds budget {horizon}")
     num, den = k.numerator, k.denominator
@@ -111,26 +110,33 @@ def first_k_ramanujan(k: Fraction) -> Answer:
 
 def table_rows(k_min: Fraction, index_limit: int) -> list[BreakpointEntry]:
     """breakpoints(k_min, N), N = index_limit, by one right-to-left walk over the
-    segment masks from min(p_N, record_prefix).  With num/den the best ratio so
-    far, a segment whose gap g in segments.csv has g*den <= (num - den)*start is
-    not sieved, and a slice from the prime p passes only gaps past
-    (num - den)*p // den to the big-int check.  Past pi(horizon) N is pi(horizon)
-    if k_min's certified bound is within it (no later ratio exceeds k_min), else
-    a ResourceLimitError."""
-    horizon = int(_table("records.csv", 0, 0)[0].split()[-1])  # and segments.csv's
-    parts = segments(record_prefix(horizon, k_min))
-    rows = _table("segments.csv", 0, len(parts))[1]
-    pi = [*accumulate((row[2] for row in rows), initial=1)]  # pi(low - 1) by segment
+    segment masks from min(p_N, record_prefix), p_N found from the nearer end of
+    its segment's mask.  With num/den the best ratio so far, a segment whose gap
+    g in segments.csv has g*den <= (num - den)*start is not sieved, and a slice
+    from the prime p passes only gaps past (num - den)*p // den to the big-int
+    check.  Past pi(horizon) N is pi(horizon) if k_min's certified bound is
+    within it (no later ratio exceeds k_min), else a ResourceLimitError."""
+    horizon = int(next(_table("records.csv")).split()[-1])  # and segments.csv's
+    prefix = record_prefix(horizon, k_min)
+    table, rows, pi = _table("segments.csv"), [], [1]  # pi(low - 1) by segment
+    for row in islice(table, 1, None):  # to p_N's segment, or the prefix's
+        rows.append(row)
+        pi.append(pi[-1] + row[2])
+        if pi[-1] >= index_limit or row[1] > prefix:
+            break
     past = index_limit > pi[-1]  # p_N is past the prefix's segment
     with suppress(DomainError):  # k_min <= 1, or every bound overflows
         past = past and certified_bound(k_min) > horizon
-    if past and index_limit > 1 + sum(row[2] for row in _table("segments.csv")[1]):
+    if past and index_limit > pi[-1] + sum(row[2] for row in table):  # the rest
         raise ResourceLimitError(f"p_{index_limit} is past the sieve budget {horizon}")
-    j = min(bisect_left(pi, index_limit), len(parts)) - 1  # p_N's segment, or the last
-    start, low = parts[j].args[:2]
-    top, b = parts[j](), (low - start) // 2
-    if (r := index_limit - pi[j]) <= top.count(1, b):  # p_N: the rth prime from low
-        del top[bisect_left(range(len(top)), r, b, key=lambda e: top.count(1, b, e)):]
+    table.close()  # and its file, before the walk
+    parts = segments(min(prefix, rows[-1][1] - 1))
+    j = len(parts) - 1  # p_N's segment, or the prefix's
+    start, low, high = parts[j].args[:3]
+    top = parts[j]()
+    if index_limit <= pi[-1]:  # p_N, the rth prime from low, unless past the prefix
+        total = rows[j][2] if high == rows[j][1] else 0  # 0: cut by the prefix
+        del top[_nth_one(top, (low - start) // 2, index_limit - pi[j], total) + 1 :]
     out: list[BreakpointEntry] = []
     num, den = k_min.numerator, k_min.denominator  # the ratio to beat
     for i in reversed(range(j + 1)):
@@ -157,11 +163,14 @@ def table_rows(k_min: Fraction, index_limit: int) -> list[BreakpointEntry]:
     return out[::-1]
 
 
-def _table(name: str, i=0, j=None) -> tuple[str, list[tuple[int, ...]]]:
-    """The header line and integer rows (all, or rows i to j - 1) of a committed
-    table that scripts/records.py writes: records.csv or segments.csv."""
+def _table(name: str, i=0, j=None) -> Iterator:
+    """The header line, then lazily the integer rows (all, or rows i to j - 1),
+    of a committed table that scripts/records.py writes: records.csv or
+    segments.csv."""
     with open(os.path.join(os.path.dirname(__file__), name)) as f:
-        return f.readline(), [tuple(map(int, r.split(","))) for r in islice(f, i, j)]
+        yield f.readline()
+        for r in islice(f, i, j):
+            yield tuple(map(int, r.split(",")))
 
 
 def brute_force_R(k: Fraction, n: int, scan_limit: int) -> tuple[int, int]:

@@ -6,7 +6,7 @@ import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import partial
-from itertools import compress
+from itertools import compress, islice
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, RangeError, ResourceLimitError
@@ -104,10 +104,14 @@ def segments(limit: int) -> list[partial]:
     """One zero-argument sieve per segment [low, high) of [3, limit], in order,
     each taking start = max(3, low - MAX_GAP), low and high as its first three
     arguments and returning the odd mask of [start, high) as a bytearray (byte
-    i: whether start + 2i is prime)."""
+    i: whether start + 2i is prime).  The base primes reach isqrt(_high(low) - 1)
+    of the last, so they also sieve the rest of a segment that limit truncates."""
     if _budgeted(limit) < 3:
         return []
-    root = math.isqrt(limit)
+    lows = [3]
+    while lows[-1] <= limit:
+        lows.append(_high(lows[-1]))
+    root = math.isqrt(lows[-1] - 1)
     flags = bytearray([1]) * (root + 1)  # a plain sieve of the base primes
     for p in range(3, math.isqrt(root) + 1, 2):
         if flags[p]:
@@ -116,13 +120,41 @@ def segments(limit: int) -> list[partial]:
     wheel = bytearray([1]) * math.prod(_WHEEL)  # byte j stands for 2j + 1
     for p in _WHEEL:
         wheel[p // 2 :: p] = bytes(len(range(p // 2, len(wheel), p)))
-    base, wheel, parts, low = [*_WHEEL, *odd], bytes(wheel), [], 3  # wheel first
-    while low <= limit:
-        high = low + min(2 * _SEGMENT_ODDS, 1 << max(17, low.bit_length() - 5))
-        parts.append(partial(_segment, max(3, low - MAX_GAP), low, min(high, limit + 1),
-                             base, wheel))
-        low = high
-    return parts
+    base, wheel = [*_WHEEL, *odd], bytes(wheel)  # wheel primes first
+    return [partial(_segment, max(3, low - MAX_GAP), low, min(high, limit + 1), base,
+                    wheel) for low, high in zip(lows, lows[1:])]
+
+
+def _high(low: int) -> int:
+    """The end of the segment from low (see _SEGMENT_ODDS), at most the budget + 1."""
+    span = min(2 * _SEGMENT_ODDS, 1 << max(17, low.bit_length() - 5))
+    return min(low + span, DEFAULT_SIEVE_BUDGET + 1)
+
+
+def _count_to(seg: partial, x: int, row: tuple) -> int:
+    """The primes of [low, x] for x in seg's segment, sieved from the nearer end:
+    [low, x], or row's primes less those of (x, high) if x is in the upper half
+    of row = (low, high, primes, ...), the full segment's."""
+    low, base, wheel = seg.args[1], *seg.args[3:]
+    if row[:2] == (low, _high(low)) and low + row[1] <= 2 * x:
+        odd = (x + 1) | 1
+        return row[2] - _segment(odd, odd, row[1], base, wheel).count(1)
+    return _segment(low, low, x + 1, base, wheel).count(1)
+
+
+def _nth_one(mask: bytearray, b: int, r: int, total: int) -> int:
+    """The byte of mask's rth one from byte b (len(mask) - 1 if it holds fewer),
+    by per-slice counts from the nearer end, which is the top only if total, the
+    number of ones from b, is known (not 0)."""
+    slices, down = _slices(b, len(mask)), 2 * r > total > 0
+    if down:
+        slices, r = slices[::-1], total + 1 - r
+    for b0, b1 in slices:
+        if r <= (c := mask.count(1, b0, b1)):  # from the top, its (c - r + 1)th one
+            ones = compress(range(b0, b1), mask[b0:b1])
+            return next(islice(ones, c - r if down else r - 1, None))
+        r -= c
+    return len(mask) - 1
 
 
 def record_prefix(limit: int, k: Fraction, n: int = 1) -> int:

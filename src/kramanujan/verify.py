@@ -7,7 +7,8 @@ whose segments.csv row has its largest gap within gap_floor from the mask's star
 to the row's high.  Other gaps, runs of zero bytes, go to a float prescreen whose
 guard leaves the doubtful ones to exact checks; one check per gap (p, q), at x = p
 or at x = lo in it, covers every real x where log x >= e, as x(1 + c/log^e x) has
-slope 1 + c(log x - e)/log^(e+1) x >= 1.
+slope 1 + c(log x - e)/log^(e+1) x >= 1.  A segment that lo or hi = x cuts is
+counted from x's nearer end: [low, x], or its row's count less (x, high).
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ import math
 import sys
 import time
 from bisect import bisect_right
-from itertools import chain, zip_longest
+from itertools import chain, islice, zip_longest
 from typing import Iterable, Iterator, NamedTuple
 
 from .core import _table
 from .errors import DomainError, RangeError
-from .primes import MAX_GAP, _gaps, _slices, segments
+from .primes import MAX_GAP, _count_to, _gaps, _slices, segments
 from .theorems import GapTheorem
 
 # Relative guard of the prescreen of x(1 + c/log^e x), which decides only finite
@@ -85,9 +86,11 @@ def _violations(thm: GapTheorem, lo: int, todo: list, mask: bytearray | None):
 def scan_theorem(thm: GapTheorem, lo: int, hi: int) -> tuple[int, Iterator]:
     """pi(hi) - pi(lo), the number of pairs of consecutive primes (p, q) with
     lo < q <= hi, and a lazy iterator of their violations (p, q, threshold at
-    x = max(p, lo)) in order.  The count is the rows' of the full segments past
-    lo, and the masks' of lo's segment and of a last one that hi truncates, each
-    sieved before the scan; a segment whose row certifies it is not scanned.
+    x = max(p, lo)) in order.  The count, before the scan, is the rows' of the
+    full segments from lo's, less its primes up to lo, with those up to hi of a
+    last one that hi truncates, each counted by _count_to from the nearer end
+    (lo's from its mask, if it is kept to be scanned); a segment whose row
+    certifies it is not scanned.
 
     Zero violations certifies the statement empirically for all real x from lo
     to the last pair's start, when log lo >= e or each gap met its slice's floor.
@@ -101,22 +104,22 @@ def scan_theorem(thm: GapTheorem, lo: int, hi: int) -> tuple[int, Iterator]:
         raise RangeError(f"empty verification range [{lo}, {hi}]")
     parts = segments(hi)
     t = bisect_right(parts, lo, key=lambda seg: seg.args[1]) - 1  # it holds lo
-    rows = _table("segments.csv", t, len(parts))[1]  # row i: segment i, if a row
+    rows = islice(_table("segments.csv", t, len(parts)), 1, None)  # row i: segment i
     pairs, todo = 0, []  # the segments to scan
     for seg, row in zip_longest(parts[t:], rows, fillvalue=()):
         start, low, high = seg.args[:3]
         a = (max(lo + 1, low) - start + 1) // 2  # the byte of the first q
-        if row[:2] == (low, high) and low > lo:
-            pairs += row[2]
-        elif low > lo:  # one that hi truncates: sieved, counted and dropped
-            pairs += seg().count(1, a)
         # certified if its row's gap (over a superset of its pairs) is within the floor
         if row[:1] != (low,) or row[3] > thm.gap_floor(start, row[1]):
             todo.append((seg, a))
-    seg = parts[t]  # lo's segment, whose mask is kept if it is to be scanned
-    mask = seg()
-    pairs += mask.count(1, (lo - seg.args[0]) // 2 + 1)  # from the first odd past lo
-    first = mask if todo and todo[0][0] is seg else None
+            if low <= lo:  # lo's, counted below from its kept mask
+                continue
+        pairs += row[2] if row[:2] == (low, high) else _count_to(seg, high - 1, row)
+        pairs -= _count_to(seg, lo, row) if low <= lo else 0
+    seg = parts[t]
+    first = seg() if todo and todo[0][0] is seg else None
+    if first is not None:  # from the first odd past lo
+        pairs += first.count(1, (lo - seg.args[0]) // 2 + 1)
     return pairs, chain.from_iterable(_violations(thm, lo, todo, first))
 
 

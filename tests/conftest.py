@@ -45,11 +45,13 @@ def small_tables(records_script):
 
     def table(name, i=0, j=None):
         if name == "records.csv":
-            return "floor 100001/100000 horizon 60000\n", []
+            yield "floor 100001/100000 horizon 60000\n"
+            return
         assert name == "segments.csv"
         odds = primes_mod._SEGMENT_ODDS
         if odds not in tables:
             tables[odds] = records_script.segment_rows(60_000)
-        return "", tables[odds][i:j]
+        yield ""
+        yield from tables[odds][i:j]
 
     return table

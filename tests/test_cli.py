@@ -261,6 +261,22 @@ def test_table_sieve_limit_reaches_p_n(n, p_n):
     assert core.table_rows(Fraction(0), n)[-1][:2] == (n, p_n)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=1_300_000))
+@example(12_251)  # the last prime of the first segment, the mask's last one
+@example(12_252)  # the first of the second segment, [131075, 262147)
+# r = N - pi(131074) of its 10,749 primes: the 5,374th, found from low, and
+# the 5,375th, the 5,375th from the top
+@example(17_625)
+@example(17_626)
+def test_table_p_n_is_the_nth_prime(store_21m, n):
+    # p_N's segment is the first whose cumulative segments.csv count reaches
+    # N, and its byte is found by per-slice counts from the nearer end of the
+    # mask; at k_min = 0 the last row is p_N/p_(N-1)
+    p, q = store_21m.nth_prime(n), store_21m.nth_prime(n - 1)
+    assert core.table_rows(Fraction(0), n)[-1][:3] == (n, p, q)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=2, max_value=98_222_288))
 @example(12_251)  # p_n is the last prime of the first segment

@@ -446,7 +446,7 @@ class TestRecordTable:
         assert header.split() == [
             "floor", "100001/100000", "horizon", str(DEFAULT_SIEVE_BUDGET)
         ]
-        assert core._table("records.csv")[0] == header + "\n"
+        assert next(core._table("records.csv")) == header + "\n"
 
     def test_rows_are_the_records_above_the_floor(self):
         # the largest gap below 2*10^9 is 292 (Oliveira e Silva, Herzog and
@@ -454,14 +454,14 @@ class TestRecordTable:
         store = sieve_upto(29_200_292)
         rows = breakpoints(self.FLOOR, store.count, store)
         want = [(r.index, r.prime, r.prev_prime) for r in rows]
-        assert core._table("records.csv")[1] == want
+        assert [*core._table("records.csv")][1:] == want
         assert len(rows) == 92
         assert rows[-1].prime == 20831533
 
     def test_paper_rows(self, store_60k):
         above = [
             (a, p, q)
-            for a, p, q in core._table("records.csv")[1]
+            for a, p, q in [*core._table("records.csv")][1:]
             if p * PAPER_K.denominator > PAPER_K.numerator * q
         ]
         paper = breakpoints(PAPER_K, 5950, store_60k)
@@ -567,7 +567,7 @@ def _k_within_trudgian(data, store):
         n = data.draw(st.integers(min_value=2, max_value=store.prime_count(49_000)))
         return Fraction(store.nth_prime(n), store.nth_prime(n - 1))
     if way == "row":  # a record ratio, or next to it
-        ratios = [Fraction(p, q) for _, p, q in core._table("records.csv")[1]]
+        ratios = [Fraction(p, q) for _, p, q in [*core._table("records.csv")][1:]]
         r = data.draw(st.sampled_from([r for r in ratios if r > K_LOW + 1e-15]))
         return r + data.draw(st.sampled_from([0, 1, -1])) * Fraction(1, 10**15)
     return data.draw(st.fractions(min_value=2, max_value=10**6, max_denominator=10**6))
@@ -595,3 +595,15 @@ def test_table_matches_the_sieve(store_10m, data):
 def test_table_matches_the_sieve_at(store_10m, k):
     assert certified_bound(K_LOW) == K_LOW_BOUND
     _assert_table_matches_the_sieve(k, store_10m)
+
+
+@pytest.mark.parametrize("n", [27_000, 28_080, 28_081, 30_000])
+def test_table_p_n_in_the_segment_the_prefix_truncates(store_10m, n):
+    # the paper's record prefix, 325,883 = p_28080, truncates its segment
+    # [262147, 393219), so the primes of the mask from low are not known: p_N
+    # is found from low when it is within the prefix, and the walk starts at
+    # the prefix when p_N is past it
+    prefix = record_prefix(DEFAULT_SIEVE_BUDGET, PAPER_K)
+    assert prefix == store_10m.nth_prime(28_080) == 325_883
+    want = reference_breakpoints(PAPER_K, n, store_10m)
+    assert core.table_rows(PAPER_K, n) == want

@@ -255,3 +255,19 @@ def test_store_is_immutable(store_60k):
     assert (store_60k.primes.format, store_60k.primes.itemsize) == ("I", 4)
     with pytest.raises(TypeError, match="read-only"):
         store_60k.primes[0] = 4
+
+
+# segments.csv's first row, [3, 131075) with 12,250 primes, whose midpoint is 65,539
+ROW_0 = (3, 131_075, 12_250, 72, 31_397)
+
+
+@pytest.mark.parametrize("odds", [primes_mod._SEGMENT_ODDS, 40_000])
+@pytest.mark.parametrize("x", [3, 4, 65_538, 65_539, 79_000, 80_002])
+def test_count_to_from_the_nearer_end(store_10m, odds, x, monkeypatch):
+    # from 65,539 on, 12,250 less the primes of (x, 131075); with segments of
+    # 80,000 integers the row shares the first segment's low but not its high,
+    # and its upper window would need base primes to 362, past isqrt(80002),
+    # so the count sieves [3, x]
+    monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", odds)
+    seg = primes_mod.segments(x)[0]
+    assert primes_mod._count_to(seg, x, ROW_0) == store_10m.prime_count(x) - 1

@@ -378,16 +378,18 @@ def test_gate_matches_stored_table(small_tables, thm, odds, ends):
 
 
 def test_gate_passes_segments(small_tables, monkeypatch):
-    # a segment the gate passes by its row is never sieved: only the last,
-    # truncated at 20,001, and the one holding lo = 1000 are, for the count,
-    # and as their rows certify them, neither is sieved again for a scan
+    # a segment the gate passes by its row is never sieved: only the one
+    # holding lo = 1000, [803, 1203), and the last, [19603, 20003), which hi
+    # truncates, are, for the count, each from the nearer side: [803, 1000]
+    # and (20000, 20003); as their rows certify them, neither is scanned
     monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", 200)
     monkeypatch.setattr(verify_mod, "_table", small_tables)
     _assert_streams_like_stored_table(GATED, 1000, 20_000)
     sieved = _sieved(monkeypatch)
     verify_theorem(GATED, 1000, 20_000)
     lows = [s.args[1] for s in primes_mod.segments(20_000) if s.args[2] > 1000]
-    assert sieved == [lows[-1], lows[0]] and len(lows) > 40
+    assert lows[0] == 803 and lows[-1] == 19_603 and len(lows) > 40
+    assert sieved == [803, 20_001]
 
 
 @pytest.mark.parametrize("lo", [2_097_100, 2_097_150, 2_097_160])
@@ -470,7 +472,7 @@ def test_sieves_only_what_no_row_certifies(thm, lo, hi, sieved, pairs, monkeypat
 @pytest.mark.parametrize("thm,lo,hi", [case[:3] for case in SIEVED[1:]])
 def test_table_and_sieve_agree(thm, lo, hi, monkeypatch):
     want = verify_theorem(thm, lo, hi)
-    monkeypatch.setattr(verify_mod, "_table", lambda *args: ("", []))  # sieve all
+    monkeypatch.setattr(verify_mod, "_table", lambda *args: iter([""]))  # sieve all
     got = verify_theorem(thm, lo, hi)
     assert (got.pairs_checked, got.violations) == (want.pairs_checked, want.violations)
 
@@ -489,6 +491,13 @@ EDGES = [x for seg in primes_mod.segments(21_000_000)
 @example(thm=GATED, ends=[2_097_155, 6_291_458])  # lo on a low, hi + 1 on a high
 @example(thm=GATED, ends=[4_194_400, 4_200_000])  # lo and hi in one segment
 @example(thm=EVERY_GAP_FAILS, ends=[3, 21_000_000])
+# in [6815747, 7077891), whose midpoint is 6,946,819: hi in the upper half,
+# hi = high - 1, hi a low, and lo and hi in the upper half, where GATED's row
+# certifies the segment, so both counts sieve only (x, high)
+@example(thm=EVERY_GAP_FAILS, ends=[1_000_000, 7_000_000])
+@example(thm=GATED, ends=[1_000_000, 7_077_890])
+@example(thm=EVERY_GAP_FAILS, ends=[1_000_000, 6_815_747])
+@example(thm=GATED, ends=[6_950_000, 7_050_000])
 def test_pair_count_comes_before_the_scan(store_21m, thm, ends):
     lo, hi = sorted(ends)
     pairs, _ = verify_mod.scan_theorem(thm, lo, hi)  # nothing scanned yet
@@ -530,11 +539,30 @@ def test_drained_scan_below_4_2m_holds_a_64_kib_mask():
 
 def test_scan_sieves_only_the_counted_segments_before_it_is_drained(monkeypatch):
     # segments from 917507, which holds lo, to 6815747, which hi = 7*10^6
-    # truncates: it is sieved first for the count, then lo's, which is kept
+    # truncates in the upper half of [6815747, 7077891): (hi, 7077891) is
+    # sieved first for the count, from the first odd past hi, then lo's
+    # segment, which is kept
     lows = _sieved(monkeypatch)
     pairs, violations = verify_mod.scan_theorem(EVERY_GAP_FAILS, 10**6, 7 * 10**6)
     assert next(violations)[:2] == (999_983, 1_000_003)
-    assert lows == [6_815_747, 917_507]
+    assert lows == [7_000_001, 917_507]
+
+
+def test_count_from_the_upper_half_of_the_last_segment():
+    # pi(10^9) - pi(58837) = 50,847,534 - 5,949 (published); 10^9 lies in the
+    # upper half of [998244355, 1000341507), so the count sieves (10^9,
+    # 1000341507), a 171 KB mask, not [998244063, 10^9], 878 KB, and the
+    # call peaks with lo's 64 KiB mask kept and the base primes to 31,628
+    scan_theorem = verify_mod.scan_theorem
+    assert scan_theorem(AXLER, 58837, 10**9)[0] == 50_841_585  # caches warm
+    tracemalloc.start()
+    try:
+        pairs, _ = scan_theorem(AXLER, 58837, 10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pairs == 50_841_585
+    assert peak < 0.9 * 2**20
 
 
 # The maximal prime gaps from 31,397 to 2*10^9, as (gap, lower prime), but
@@ -555,10 +583,10 @@ class TestSegmentTable:
 
     @pytest.fixture(scope="class")
     def rows(self):
-        return core._table("segments.csv")[1]
+        return [*core._table("segments.csv")][1:]
 
     def test_header_and_one_row_per_segment_to_the_budget(self, rows):
-        assert core._table("segments.csv")[0] == "low,high,primes,gap,prev\n"
+        assert next(core._table("segments.csv")) == "low,high,primes,gap,prev\n"
         parts = primes_mod.segments(primes_mod.DEFAULT_SIEVE_BUDGET)
         assert [row[:2] for row in rows] == [seg.args[1:3] for seg in parts]
         assert len(rows) == 1018
@@ -574,8 +602,8 @@ class TestSegmentTable:
         assert sum(row[2] for row in rows) == 98_222_286
 
     def test_rows_by_index(self, rows):
-        assert core._table("segments.csv", 5, 8)[1] == rows[5:8]
-        assert core._table("segments.csv", 1017, 1024)[1] == rows[1017:]
+        assert [*core._table("segments.csv", 5, 8)][1:] == rows[5:8]
+        assert [*core._table("segments.csv", 1017, 1024)][1:] == rows[1017:]
 
     def test_largest_gap_is_max_gap(self, rows):
         assert max(row[3] for row in rows) == primes_mod.MAX_GAP
@@ -589,16 +617,20 @@ class TestSegmentTable:
 
 
 def test_each_command_parses_only_the_rows_it_walks(monkeypatch, capsys):
-    # compute reads records.csv and bound no table; table reads the tables'
-    # horizon from records.csv's header line, and it and verify parse only the
-    # segments.csv rows of the segments they walk: here rows 0 to 2, as the
-    # paper's record prefix, 325,893, lies in the third segment, and row 0 for
-    # verify, as 60,000 lies in the first
+    # compute parses records.csv's 92 rows and bound no table; table reads the
+    # tables' horizon from records.csv's header line, and it and verify parse
+    # only the segments.csv rows of the segments they walk: table up to p_N's
+    # segment or the paper's record prefix's, whichever comes first, so row 0
+    # for p_5950 = 58,889 and rows 0 to 2 for N = pi(2e9), as the prefix,
+    # 325,883, lies in the third segment; and row 0 for verify, as 60,000 lies
+    # in the first
     read, table = [], core._table
 
     def spy(name, *rows):
-        read.append((name, *rows))
-        return table(name, *rows)
+        read.append(entry := [name, *rows, 0])  # and the number of rows parsed
+        for parsed, line in enumerate(table(name, *rows)):
+            entry[-1] = parsed
+            yield line
 
     monkeypatch.setattr(core, "_table", spy)
     monkeypatch.setattr(verify_mod, "_table", spy)
@@ -610,8 +642,9 @@ def test_each_command_parses_only_the_rows_it_walks(monkeypatch, capsys):
         "verify --theorem axler --from 58837 --to 60000",
     ]:
         assert cli.main(argv.split()) == 0
-    walk = [("records.csv", 0, 0), ("segments.csv", 0, 3)]
-    assert read == [("records.csv",), *walk, *walk, ("segments.csv", 0, 1)]
+    horizon = ["records.csv", 0]
+    assert read == [["records.csv", 92], horizon, ["segments.csv", 1], horizon,
+                    ["segments.csv", 3], ["segments.csv", 0, 1, 1]]
 
 
 def test_scan_accepts_zero_pairs():
