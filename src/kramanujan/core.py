@@ -5,18 +5,17 @@ stride-n record-ratio search behind the nth-prime scan."""
 from __future__ import annotations
 
 import math
-import os
 import re
 from contextlib import suppress
 from fractions import Fraction
 from itertools import compress, count, islice
 from operator import sub
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import DomainError, InconclusiveError, RangeError, UnsupportedRangeError
 from .errors import ResourceLimitError
-from .primes import MAX_GAP, PrimeStore, _gaps, _nth_one, _slices, record_prefix
-from .primes import segments, sieve_upto
+from .primes import MAX_GAP, PrimeStore, _count_to, _gaps, _index, _nth_one, _slices
+from .primes import _table, horizon, record_prefix, sieve_upto
 from .theorems import BUILTIN_THEOREMS, GapTheorem
 
 _RATIONAL = re.compile(r"^\s*(\d+(?:\.\d{1,15})?|\d+/0*[1-9]\d*)\s*$")
@@ -110,67 +109,49 @@ def first_k_ramanujan(k: Fraction) -> Answer:
 
 def table_rows(k_min: Fraction, index_limit: int) -> list[BreakpointEntry]:
     """breakpoints(k_min, N), N = index_limit, by one right-to-left walk over the
-    segment masks from min(p_N, record_prefix), p_N found from the nearer end of
-    its segment's mask.  With num/den the best ratio so far, a segment whose gap
-    g in segments.csv has g*den <= (num - den)*start is not sieved, and a slice
-    from the prime p passes only gaps past (num - den)*p // den to the big-int
-    check.  Past pi(horizon) N is pi(horizon) if k_min's certified bound is
-    within it (no later ratio exceeds k_min), else a ResourceLimitError."""
-    horizon = int(next(_table("records.csv")).split()[-1])  # and segments.csv's
-    prefix = record_prefix(horizon, k_min)
-    table, rows, pi = _table("segments.csv"), [], [1]  # pi(low - 1) by segment
-    for row in islice(table, 1, None):  # to p_N's segment, or the prefix's
-        rows.append(row)
-        pi.append(pi[-1] + row[2])
-        if pi[-1] >= index_limit or row[1] > prefix:
+    index's masks from min(p_N, record_prefix).  With num/den the best ratio so
+    far, a segment whose row's gap g has g*den <= (num - den)*start is not sieved,
+    and a slice from the prime p passes only gaps past (num - den)*p // den to the
+    big-int check.  Past pi(horizon) N is pi(horizon) if k_min's certified bound
+    is within it (no later ratio exceeds k_min), else a ResourceLimitError."""
+    end = horizon()
+    walk = []  # (segment, row, pi(low - 1)) up to p_N's segment, or the prefix's
+    for seg, row, n in _index(record_prefix(end, k_min)):
+        if n + 1 >= index_limit:  # p_N lies in the segment before
             break
-    past = index_limit > pi[-1]  # p_N is past the prefix's segment
-    with suppress(DomainError):  # k_min <= 1, or every bound overflows
-        past = past and certified_bound(k_min) > horizon
-    if past and index_limit > pi[-1] + sum(row[2] for row in table):  # the rest
-        raise ResourceLimitError(f"p_{index_limit} is past the sieve budget {horizon}")
-    table.close()  # and its file, before the walk
-    parts = segments(min(prefix, rows[-1][1] - 1))
-    j = len(parts) - 1  # p_N's segment, or the prefix's
-    start, low, high = parts[j].args[:3]
-    top = parts[j]()
-    if index_limit <= pi[-1]:  # p_N, the rth prime from low, unless past the prefix
-        total = rows[j][2] if high == rows[j][1] else 0  # 0: cut by the prefix
-        del top[_nth_one(top, (low - start) // 2, index_limit - pi[j], total) + 1 :]
-    out: list[BreakpointEntry] = []
-    num, den = k_min.numerator, k_min.denominator  # the ratio to beat
-    for i in reversed(range(j + 1)):
-        start, low = parts[i].args[:2]
-        mask, top = top, None  # p_N's at i = j; later, the last is dropped: one alive
-        if rows[i][3] * den <= (num - den) * start:
+        walk.append((seg, row, n + 1))
+    else:  # p_N lies in the prefix's segment, or past it
+        past = True
+        with suppress(DomainError):  # k_min <= 1, or every bound overflows
+            past = certified_bound(k_min) > end
+        if past:  # pi(end): 2, the walk's segments, then the index's from its last
+            for seg, row, m in _index(end, seg.args[1]):
+                pass
+            past = index_limit > 1 + n + m + _count_to(seg, end, row)
+        if past:
+            raise ResourceLimitError(f"p_{index_limit} is past the sieve budget {end}")
+    seg, row, pi = walk[-1]
+    start, low, high = seg.args[:3]
+    top = seg()  # cut after p_N, found from the nearer end
+    total = row[2] if row and high == row[1] else 0  # 0: no row, or a cut one
+    del top[_nth_one(top, (low - start) // 2, index_limit - pi, total) + 1 :]
+    out, num, den = [], k_min.numerator, k_min.denominator  # num/den: the ratio to beat
+    for seg, row, pi in reversed(walk):
+        start, low = seg.args[:2]
+        mask, top = top, None  # p_N's first; later, the last is dropped: one alive
+        if row and row[3] * den <= (num - den) * start:
             continue
-        mask = parts[i]() if mask is None else mask
-        b, e = (low - start) // 2, (rows[i][1] - start + 1) // 2  # the row's bytes
+        mask = seg() if mask is None else mask
         for b0, b1 in reversed(_slices((max(low, 4) - start + 1) // 2, len(mask))):
             cut = max(num - den, 0) * (start + 2 * mask.rfind(1, 0, b0)) // den
             for p, q in reversed(_gaps(mask, start, b0, b1, min(cut, MAX_GAP) // 2)):
-                if q * den > num * p:  # a row, indexed by the mask's count of the
-                    # primes from low to q, or from q to the row's high if nearer
-                    c = (q - start) // 2 + 1
-                    if len(mask) == e and 2 * c > b + e:
-                        a = pi[i + 1] - mask.count(1, c)
-                    else:
-                        a = pi[i] + mask.count(1, b, c)
+                if q * den > num * p:  # a row, indexed from the nearer end
+                    a = pi + _count_to(seg, q, row, mask)
                     out.append(BreakpointEntry(a, q, p, Fraction(q, p)))
                     num, den = q, p
     if 3 * den > 2 * num:  # the pair (2, 3), which no mask holds
         out.append(BreakpointEntry(2, 3, 2, Fraction(3, 2)))
     return out[::-1]
-
-
-def _table(name: str, i=0, j=None) -> Iterator:
-    """The header line, then lazily the integer rows (all, or rows i to j - 1),
-    of a committed table that scripts/records.py writes: records.csv or
-    segments.csv."""
-    with open(os.path.join(os.path.dirname(__file__), name)) as f:
-        yield f.readline()
-        for r in islice(f, i, j):
-            yield tuple(map(int, r.split(",")))
 
 
 def brute_force_R(k: Fraction, n: int, scan_limit: int) -> tuple[int, int]:

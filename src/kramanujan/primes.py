@@ -1,13 +1,14 @@
-"""Segmented sieve, the gap finder of its masks, and exact pi / nth-prime queries."""
+"""Segmented sieve, its gap finder, pi / nth-prime queries and the segment index."""
 
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import partial
 from itertools import compress, islice
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import DomainError, RangeError, ResourceLimitError
 
@@ -92,26 +93,22 @@ def sieve_upto(limit: int) -> PrimeStore:
     """All primes <= limit, as a store: 2, then the odd masks of segments(limit)
     from each low."""
     from array import array  # a shared library: a call that never sieves skips it
-    parts = segments(limit)
     out = array("I", [2] if limit >= 2 else [])
-    for part in parts:
+    for part in segments(limit):
         start, low, high = part.args[:3]
         out.extend(compress(range(low, high, 2), part()[(low - start) // 2 :]))
     return PrimeStore(limit, out)
 
 
-def segments(limit: int) -> list[partial]:
-    """One zero-argument sieve per segment [low, high) of [3, limit], in order,
-    each taking start = max(3, low - MAX_GAP), low and high as its first three
-    arguments and returning the odd mask of [start, high) as a bytearray (byte
-    i: whether start + 2i is prime).  The base primes reach isqrt(_high(low) - 1)
-    of the last, so they also sieve the rest of a segment that limit truncates."""
+def segments(limit: int) -> Iterator[partial]:
+    """Lazily, one zero-argument sieve per segment [low, high) of [3, limit], in
+    order, each taking start = max(3, low - MAX_GAP), low and high as its first
+    three arguments and returning the odd mask of [start, high) as a bytearray
+    (byte i: whether start + 2i is prime).  The base primes reach isqrt(limit +
+    2 * _SEGMENT_ODDS), so they also sieve the rest of a segment limit truncates."""
     if _budgeted(limit) < 3:
-        return []
-    lows = [3]
-    while lows[-1] <= limit:
-        lows.append(_high(lows[-1]))
-    root = math.isqrt(lows[-1] - 1)
+        return
+    root = math.isqrt(min(limit + 2 * _SEGMENT_ODDS, DEFAULT_SIEVE_BUDGET + 1) - 1)
     flags = bytearray([1]) * (root + 1)  # a plain sieve of the base primes
     for p in range(3, math.isqrt(root) + 1, 2):
         if flags[p]:
@@ -120,9 +117,39 @@ def segments(limit: int) -> list[partial]:
     wheel = bytearray([1]) * math.prod(_WHEEL)  # byte j stands for 2j + 1
     for p in _WHEEL:
         wheel[p // 2 :: p] = bytes(len(range(p // 2, len(wheel), p)))
-    base, wheel = [*_WHEEL, *odd], bytes(wheel)  # wheel primes first
-    return [partial(_segment, max(3, low - MAX_GAP), low, min(high, limit + 1), base,
-                    wheel) for low, high in zip(lows, lows[1:])]
+    base, wheel, low = [*_WHEEL, *odd], bytes(wheel), 3  # wheel primes first
+    while low <= limit:
+        yield partial(_segment, max(3, low - MAX_GAP), low, min(_high(low), limit + 1),
+                      base, wheel)
+        low = _high(low)
+
+
+def horizon() -> int:
+    """Where segments.csv ends: the sieve budget, below which no gap exceeds MAX_GAP."""
+    return DEFAULT_SIEVE_BUDGET
+
+
+def _index(limit: int, x: int = 3) -> Iterator[tuple[partial, tuple | None, int]]:
+    """(seg, row, n) for each segment of segments(limit) from x's on: its segments.csv
+    row (low, high, primes, gap, prev) if that is the full segment's, else None, and
+    n, the primes before it from x's segment's low, a segment with no row sieved."""
+    n, rows = 0, None
+    for i, seg in enumerate(segments(limit)):
+        low, high = seg.args[1:3]
+        if high > x:
+            rows = rows or islice(_table("segments.csv", i), 1, None)
+            row = r if (r := next(rows, ()))[:2] == (low, _high(low)) else None
+            yield seg, row, n
+            n += row[2] if row else high <= limit and _count_to(seg, high - 1, None)
+
+
+def _table(name: str, i: int = 0) -> Iterator:
+    """The header line, then lazily the integer rows from row i, of a committed
+    table that scripts/records.py writes: records.csv or segments.csv."""
+    with open(os.path.join(os.path.dirname(__file__), name)) as f:
+        yield f.readline()
+        for r in islice(f, i, None):
+            yield tuple(map(int, r.split(",")))
 
 
 def _high(low: int) -> int:
@@ -131,22 +158,26 @@ def _high(low: int) -> int:
     return min(low + span, DEFAULT_SIEVE_BUDGET + 1)
 
 
-def _count_to(seg: partial, x: int, row: tuple) -> int:
-    """The primes of [low, x] for x in seg's segment, sieved from the nearer end:
-    [low, x], or row's primes less those of (x, high) if x is in the upper half
-    of row = (low, high, primes, ...), the full segment's."""
-    low, base, wheel = seg.args[1], *seg.args[3:]
-    if row[:2] == (low, _high(low)) and low + row[1] <= 2 * x:
-        odd = (x + 1) | 1
-        return row[2] - _segment(odd, odd, row[1], base, wheel).count(1)
-    return _segment(low, low, x + 1, base, wheel).count(1)
+def _count_to(seg: partial, x: int, row: tuple | None, mask=None) -> int:
+    """The primes of [low, x] for x in seg's segment, from the nearer end: [low, x],
+    or for x in the upper half of row (the full segment's, or None) its primes less
+    those of (x, high).  mask, seg's from start to x at least, is counted from the
+    top only if it reaches high; with none, only the nearer side is sieved."""
+    start, low, _, base, wheel = seg.args
+    up = row is not None and low + row[1] <= 2 * x
+    if mask is None:
+        start, end = ((x + 1) | 1, row[1]) if up else (low, x + 1)
+        mask = _segment(start, start, end, base, wheel) if start < end else b""
+    if up and start + 2 * len(mask) >= row[1]:
+        return row[2] - mask.count(1, (x - start) // 2 + 1)
+    return mask.count(1, (low - start) // 2, (x - start) // 2 + 1)
 
 
 def _nth_one(mask: bytearray, b: int, r: int, total: int) -> int:
     """The byte of mask's rth one from byte b (len(mask) - 1 if it holds fewer),
     by per-slice counts from the nearer end, which is the top only if total, the
-    number of ones from b, is known (not 0)."""
-    slices, down = _slices(b, len(mask)), 2 * r > total > 0
+    number of ones from b, is known (not 0) and at least r."""
+    slices, down = _slices(b, len(mask)), 2 * r > total >= r
     if down:
         slices, r = slices[::-1], total + 1 - r
     for b0, b1 in slices:

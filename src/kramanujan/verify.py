@@ -3,12 +3,12 @@
 Each segment owns the pairs (p, q) whose q it holds; its mask, from MAX_GAP
 below it, holds p too.  A gap at most GapTheorem.gap_floor on its scan slice is
 certified with no float for every real x in it, and so is, unscanned, a segment
-whose segments.csv row has its largest gap within gap_floor from the mask's start
-to the row's high.  Other gaps, runs of zero bytes, go to a float prescreen whose
-guard leaves the doubtful ones to exact checks; one check per gap (p, q), at x = p
-or at x = lo in it, covers every real x where log x >= e, as x(1 + c/log^e x) has
-slope 1 + c(log x - e)/log^(e+1) x >= 1.  A segment that lo or hi = x cuts is
-counted from x's nearer end: [low, x], or its row's count less (x, high).
+whose row has its largest gap within gap_floor from the mask's start to the
+row's high.  Other gaps, runs of zero bytes, go to a float prescreen whose guard
+leaves the doubtful ones to exact checks; one check per gap (p, q), at x = p or
+at x = lo in it, covers every real x where log x >= e, as x(1 + c/log^e x) has
+slope 1 + c(log x - e)/log^(e+1) x >= 1.  The segments, their rows and pi come
+from primes' segment index, the one reader of the segment table.
 """
 
 from __future__ import annotations
@@ -16,13 +16,11 @@ from __future__ import annotations
 import math
 import sys
 import time
-from bisect import bisect_right
-from itertools import chain, islice, zip_longest
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
-from .core import _table
 from .errors import DomainError, RangeError
-from .primes import MAX_GAP, _count_to, _gaps, _slices, segments
+from .primes import MAX_GAP, _count_to, _gaps, _index, _slices
 from .theorems import GapTheorem
 
 # Relative guard of the prescreen of x(1 + c/log^e x), which decides only finite
@@ -86,11 +84,9 @@ def _violations(thm: GapTheorem, lo: int, todo: list, mask: bytearray | None):
 def scan_theorem(thm: GapTheorem, lo: int, hi: int) -> tuple[int, Iterator]:
     """pi(hi) - pi(lo), the number of pairs of consecutive primes (p, q) with
     lo < q <= hi, and a lazy iterator of their violations (p, q, threshold at
-    x = max(p, lo)) in order.  The count, before the scan, is the rows' of the
-    full segments from lo's, less its primes up to lo, with those up to hi of a
-    last one that hi truncates, each counted by _count_to from the nearer end
-    (lo's from its mask, if it is kept to be scanned); a segment whose row
-    certifies it is not scanned.
+    x = max(p, lo)) in order.  The count, before the scan, is the index's from
+    lo's segment to hi, less that segment's primes up to lo, counted after hi's
+    (from its mask if it is kept); a segment whose row certifies it is not scanned.
 
     Zero violations certifies the statement empirically for all real x from lo
     to the last pair's start, when log lo >= e or each gap met its slice's floor.
@@ -102,24 +98,16 @@ def scan_theorem(thm: GapTheorem, lo: int, hi: int) -> tuple[int, Iterator]:
         )
     if lo > hi:
         raise RangeError(f"empty verification range [{lo}, {hi}]")
-    parts = segments(hi)
-    t = bisect_right(parts, lo, key=lambda seg: seg.args[1]) - 1  # it holds lo
-    rows = islice(_table("segments.csv", t, len(parts)), 1, None)  # row i: segment i
-    pairs, todo = 0, []  # the segments to scan
-    for seg, row in zip_longest(parts[t:], rows, fillvalue=()):
-        start, low, high = seg.args[:3]
-        a = (max(lo + 1, low) - start + 1) // 2  # the byte of the first q
+    walk, todo = _index(hi, lo), []  # todo: the segments to scan, with their first q
+    lo_seg, lo_row, _ = next(walk)  # lo's segment comes first
+    for seg, row, n in chain([(lo_seg, lo_row, 0)], walk):
+        start, low = seg.args[:2]
         # certified if its row's gap (over a superset of its pairs) is within the floor
-        if row[:1] != (low,) or row[3] > thm.gap_floor(start, row[1]):
-            todo.append((seg, a))
-            if low <= lo:  # lo's, counted below from its kept mask
-                continue
-        pairs += row[2] if row[:2] == (low, high) else _count_to(seg, high - 1, row)
-        pairs -= _count_to(seg, lo, row) if low <= lo else 0
-    seg = parts[t]
-    first = seg() if todo and todo[0][0] is seg else None
-    if first is not None:  # from the first odd past lo
-        pairs += first.count(1, (lo - seg.args[0]) // 2 + 1)
+        if row is None or row[3] > thm.gap_floor(start, row[1]):
+            todo.append((seg, (max(lo + 1, low) - start + 1) // 2))
+    pairs = n + _count_to(seg, hi, row)  # the primes from lo's segment's low to hi
+    first = lo_seg() if todo and todo[0][0] is lo_seg else None  # kept to be scanned
+    pairs -= _count_to(lo_seg, lo, lo_row, first)  # then counted from its mask
     return pairs, chain.from_iterable(_violations(thm, lo, todo, first))
 
 

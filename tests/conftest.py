@@ -37,21 +37,18 @@ def records_script():
 
 @pytest.fixture(scope="session")
 def small_tables(records_script):
-    """A stand-in for core._table: segments.csv as scripts/records.py writes it
+    """A stand-in for primes._table: segments.csv as scripts/records.py writes it
     to 60,000 at the patched segment size, so that its rows match the small
-    segments of the tests that use it, and records.csv's header with that
-    horizon (its rows, which the segment walk never reads, are left out)."""
+    segments of the tests that use it; with the sieve budget patched to 60,000
+    too, its last row is a full segment's, and 60,000 is table's horizon."""
     tables = {}
 
-    def table(name, i=0, j=None):
-        if name == "records.csv":
-            yield "floor 100001/100000 horizon 60000\n"
-            return
+    def table(name, i=0):
         assert name == "segments.csv"
         odds = primes_mod._SEGMENT_ODDS
         if odds not in tables:
             tables[odds] = records_script.segment_rows(60_000)
         yield ""
-        yield from tables[odds][i:j]
+        yield from tables[odds][i:]
 
     return table

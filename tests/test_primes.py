@@ -162,7 +162,7 @@ def test_segments_are_the_budgets_to_the_last(limit):
     # a segment's bounds depend on its low alone, so to any limit the segments
     # are the budget's, the last truncated at limit + 1: even spans that tile
     # [3, limit], each mask from MAX_GAP below its low
-    parts = primes_mod.segments(limit)
+    parts = [*primes_mod.segments(limit)]
     got = [seg.args[1:3] for seg in parts]
     assert got[:-1] == BUDGET_SEGMENTS[: len(got)][:-1]
     assert [3, *(high for _, high in got)] == [*(low for low, _ in got),
@@ -266,8 +266,10 @@ ROW_0 = (3, 131_075, 12_250, 72, 31_397)
 def test_count_to_from_the_nearer_end(store_10m, odds, x, monkeypatch):
     # from 65,539 on, 12,250 less the primes of (x, 131075); with segments of
     # 80,000 integers the row shares the first segment's low but not its high,
-    # and its upper window would need base primes to 362, past isqrt(80002),
-    # so the count sieves [3, x]
+    # so the index gives the segment no row, and the count sieves [3, x]; the
+    # segment's own mask, which limit x truncates, is counted from low
     monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", odds)
-    seg = primes_mod.segments(x)[0]
-    assert primes_mod._count_to(seg, x, ROW_0) == store_10m.prime_count(x) - 1
+    seg, row, n = next(primes_mod._index(x))
+    assert (row, n) == (None if odds == 40_000 else ROW_0, 0)
+    assert primes_mod._count_to(seg, x, row) == store_10m.prime_count(x) - 1
+    assert primes_mod._count_to(seg, x, row, seg()) == store_10m.prime_count(x) - 1

@@ -241,7 +241,7 @@ def _small_walk_case(data, store):
         k_min += data.draw(st.sampled_from([-1, 0, 1])) * Fraction(1, 10**12)
     if data.draw(st.booleans()):
         return k_min, data.draw(st.integers(min_value=2, max_value=PI_SMALL + 1))
-    seg = data.draw(st.sampled_from(primes_mod.segments(60_000)))
+    seg = data.draw(st.sampled_from([*primes_mod.segments(60_000)]))
     low, high = seg.args[1:3]
     edges = [store.prime_count(low - 1) + 1, store.prime_count(high - 1)]
     return k_min, max(2, data.draw(st.sampled_from(edges)))
@@ -266,7 +266,8 @@ def test_walk_matches_the_reference_on_small_tables(
     # segments.csv as the generator writes it to 60,000 at small segment
     # sizes: one odd (mostly empty segments), 8, 56 and 1000
     with mock.patch.object(primes_mod, "_SEGMENT_ODDS", odds), \
-            mock.patch.object(core, "_table", small_tables):
+            mock.patch.object(primes_mod, "DEFAULT_SIEVE_BUDGET", 60_000), \
+            mock.patch.object(primes_mod, "_table", small_tables):
         k_min, n = _small_walk_case(data, store_60k)
         _assert_walk_matches_the_reference(k_min, n, store_60k)
 
@@ -281,7 +282,8 @@ def test_walk_past_the_small_horizon(store_60k, small_tables, k_min, odds):
     # horizon: not for k_min <= 1 nor for 1.0001 (2,898,360), but for 1.001
     # and 2 (58,890), where it stands for pi(60,000)
     with mock.patch.object(primes_mod, "_SEGMENT_ODDS", odds), \
-            mock.patch.object(core, "_table", small_tables):
+            mock.patch.object(primes_mod, "DEFAULT_SIEVE_BUDGET", 60_000), \
+            mock.patch.object(primes_mod, "_table", small_tables):
         _assert_walk_matches_the_reference(k_min, PI_SMALL + 1, store_60k)
 
 
@@ -295,3 +297,13 @@ def test_walk_scan_slices_are_semantically_invisible(store_60k, monkeypatch, sca
     assert want[0] == reference_breakpoints(Fraction(0), 3000, store_60k)
     monkeypatch.setattr(primes_mod, "_SCAN_ODDS", scan_odds)
     assert [core.table_rows(k_min, n) for k_min, n in cases] == want
+
+
+@pytest.mark.parametrize("odds", [40_000, 1000])
+def test_walk_checks_each_row_against_its_segment(store_60k, monkeypatch, odds):
+    # at other segment sizes no segments.csv row but by chance the first's low
+    # matches a segment, so the walk to k_min = 0's prefix, all of 2e9, counts
+    # each segment by sieving it up to p_3000's and builds no segment past it
+    monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", odds)
+    want = reference_breakpoints(Fraction(0), 3000, store_60k)
+    assert core.table_rows(Fraction(0), 3000) == want

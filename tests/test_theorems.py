@@ -2,6 +2,7 @@
 references, thread safety, the single float prescreen guard, the single
 owner of the sieve budget, and the exit code each error type carries."""
 
+import ast
 import decimal
 import math
 import re
@@ -220,6 +221,22 @@ def test_one_sieve_budget_owner(monkeypatch):
     monkeypatch.setattr(core, "shared_store", None)  # nothing sieves
     with pytest.raises(ResourceLimitError, match="budget"):
         core.first_k_ramanujan(Fraction("1.00001"))
+
+
+def test_one_segment_table_owner():
+    # only primes.py names segments.csv, the index that verify and table walk,
+    # and verify.py imports nothing from core
+    src = Path(kramanujan.__file__).parent
+    owners = [
+        path.name
+        for path in sorted(src.glob("*.py"))
+        if "segments.csv" in path.read_text()
+    ]
+    assert owners == ["primes.py"]
+    tree = ast.parse((src / "verify.py").read_text())
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert imported and all("core" not in pair for pair in imported)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import math
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 from unittest import mock
 
 import numpy as np
@@ -331,7 +332,7 @@ def test_segments_below_lo_are_not_sieved(monkeypatch):
 def test_streaming_empty_last_segment(scan_odds, monkeypatch):
     monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", 56)
     monkeypatch.setattr(primes_mod, "_SCAN_ODDS", scan_odds)
-    last = primes_mod.segments(1359)[-1]  # [1347, 1359]
+    *_, last = primes_mod.segments(1359)  # [1347, 1359]
     start, low = last.args[:2]
     assert 1 not in last()[(low - start) // 2 :]  # no prime from 1347 on
     for thm in MIXED:
@@ -373,23 +374,24 @@ def _sieved(monkeypatch):
 )
 def test_gate_matches_stored_table(small_tables, thm, odds, ends):
     with mock.patch.object(primes_mod, "_SEGMENT_ODDS", odds):
-        with mock.patch.object(verify_mod, "_table", small_tables):
+        with mock.patch.object(primes_mod, "_table", small_tables):
             _assert_streams_like_stored_table(thm, *sorted(ends))
 
 
 def test_gate_passes_segments(small_tables, monkeypatch):
-    # a segment the gate passes by its row is never sieved: only the one
-    # holding lo = 1000, [803, 1203), and the last, [19603, 20003), which hi
-    # truncates, are, for the count, each from the nearer side: [803, 1000]
-    # and (20000, 20003); as their rows certify them, neither is scanned
+    # a segment the gate passes by its row is never sieved: only the last,
+    # [19603, 20003), which hi truncates, and the one holding lo = 1000,
+    # [803, 1203), are, in that order, for the count, each from the nearer
+    # side: (20000, 20003) and [803, 1000]; as their rows certify them,
+    # neither is scanned
     monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", 200)
-    monkeypatch.setattr(verify_mod, "_table", small_tables)
+    monkeypatch.setattr(primes_mod, "_table", small_tables)
     _assert_streams_like_stored_table(GATED, 1000, 20_000)
     sieved = _sieved(monkeypatch)
     verify_theorem(GATED, 1000, 20_000)
     lows = [s.args[1] for s in primes_mod.segments(20_000) if s.args[2] > 1000]
     assert lows[0] == 803 and lows[-1] == 19_603 and len(lows) > 40
-    assert sieved == [803, 20_001]
+    assert sieved == [20_001, 803]
 
 
 @pytest.mark.parametrize("lo", [2_097_100, 2_097_150, 2_097_160])
@@ -408,7 +410,7 @@ def test_gate_leaves_the_segment_starting_at_lo(small_tables, monkeypatch):
     # the row of [1459, 1571) passes GATED, but lo = 1459 is prime too, and
     # no pair ends at lo
     monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", 56)
-    monkeypatch.setattr(verify_mod, "_table", small_tables)
+    monkeypatch.setattr(primes_mod, "_table", small_tables)
     assert 1459 in [seg.args[1] for seg in primes_mod.segments(2000)]
     _assert_streams_like_stored_table(GATED, 1459, 2000)
 
@@ -418,7 +420,7 @@ def test_gate_needs_the_gap_within_the_floor(small_tables, monkeypatch):
     # whose gap_floor there, 12, is below its gap, 22, so the segment is
     # sieved; so is [1011, 1123), whose floor, 10, is below 1069 -> 1087
     monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", 56)
-    monkeypatch.setattr(verify_mod, "_table", small_tables)
+    monkeypatch.setattr(primes_mod, "_table", small_tables)
     thm = GapTheorem("custom", 3, Fraction(3, 25), 1)
     report = _assert_streams_like_stored_table(thm, 1000, 1234)
     assert (1129, 1151) in [(p, q) for p, q, _ in report.violations]
@@ -472,7 +474,7 @@ def test_sieves_only_what_no_row_certifies(thm, lo, hi, sieved, pairs, monkeypat
 @pytest.mark.parametrize("thm,lo,hi", [case[:3] for case in SIEVED[1:]])
 def test_table_and_sieve_agree(thm, lo, hi, monkeypatch):
     want = verify_theorem(thm, lo, hi)
-    monkeypatch.setattr(verify_mod, "_table", lambda *args: iter([""]))  # sieve all
+    monkeypatch.setattr(primes_mod, "_table", lambda *args: iter([""]))  # sieve all
     got = verify_theorem(thm, lo, hi)
     assert (got.pairs_checked, got.violations) == (want.pairs_checked, want.violations)
 
@@ -583,10 +585,10 @@ class TestSegmentTable:
 
     @pytest.fixture(scope="class")
     def rows(self):
-        return [*core._table("segments.csv")][1:]
+        return [*primes_mod._table("segments.csv")][1:]
 
     def test_header_and_one_row_per_segment_to_the_budget(self, rows):
-        assert next(core._table("segments.csv")) == "low,high,primes,gap,prev\n"
+        assert next(primes_mod._table("segments.csv")) == "low,high,primes,gap,prev\n"
         parts = primes_mod.segments(primes_mod.DEFAULT_SIEVE_BUDGET)
         assert [row[:2] for row in rows] == [seg.args[1:3] for seg in parts]
         assert len(rows) == 1018
@@ -602,8 +604,8 @@ class TestSegmentTable:
         assert sum(row[2] for row in rows) == 98_222_286
 
     def test_rows_by_index(self, rows):
-        assert [*core._table("segments.csv", 5, 8)][1:] == rows[5:8]
-        assert [*core._table("segments.csv", 1017, 1024)][1:] == rows[1017:]
+        assert [*islice(primes_mod._table("segments.csv", 5), 1, 4)] == rows[5:8]
+        assert [*primes_mod._table("segments.csv", 1017)][1:] == rows[1017:]
 
     def test_largest_gap_is_max_gap(self, rows):
         assert max(row[3] for row in rows) == primes_mod.MAX_GAP
@@ -617,14 +619,14 @@ class TestSegmentTable:
 
 
 def test_each_command_parses_only_the_rows_it_walks(monkeypatch, capsys):
-    # compute parses records.csv's 92 rows and bound no table; table reads the
-    # tables' horizon from records.csv's header line, and it and verify parse
-    # only the segments.csv rows of the segments they walk: table up to p_N's
-    # segment or the paper's record prefix's, whichever comes first, so row 0
-    # for p_5950 = 58,889 and rows 0 to 2 for N = pi(2e9), as the prefix,
-    # 325,883, lies in the third segment; and row 0 for verify, as 60,000 lies
-    # in the first
-    read, table = [], core._table
+    # compute parses records.csv's 92 rows and bound no table; table and verify
+    # parse only the segments.csv rows of the segments they walk, through
+    # primes' index: table up to p_N's segment and the next, whose count
+    # places p_N before it, or up to the paper's record prefix's, whichever
+    # comes first, so rows 0 and 1 for p_5950 = 58,889 and rows 0 to 2 for N =
+    # pi(2e9), as the prefix, 325,883, lies in the third segment; and row 0
+    # for verify, as 60,000 lies in the first
+    read, table = [], primes_mod._table
 
     def spy(name, *rows):
         read.append(entry := [name, *rows, 0])  # and the number of rows parsed
@@ -633,7 +635,7 @@ def test_each_command_parses_only_the_rows_it_walks(monkeypatch, capsys):
             yield line
 
     monkeypatch.setattr(core, "_table", spy)
-    monkeypatch.setattr(verify_mod, "_table", spy)
+    monkeypatch.setattr(primes_mod, "_table", spy)
     for argv in [
         "compute --k 1.1",
         "bound --k 1.0008968291 --theorem axler",
@@ -642,9 +644,8 @@ def test_each_command_parses_only_the_rows_it_walks(monkeypatch, capsys):
         "verify --theorem axler --from 58837 --to 60000",
     ]:
         assert cli.main(argv.split()) == 0
-    horizon = ["records.csv", 0]
-    assert read == [["records.csv", 92], horizon, ["segments.csv", 1], horizon,
-                    ["segments.csv", 3], ["segments.csv", 0, 1, 1]]
+    assert read == [["records.csv", 92], ["segments.csv", 0, 2],
+                    ["segments.csv", 0, 3], ["segments.csv", 0, 1]]
 
 
 def test_scan_accepts_zero_pairs():
@@ -697,7 +698,7 @@ def test_gap_branches_agree_on_a_mask_from_three():
             calls.append(args)
             return super().find(*args)
 
-    mask = Finds(primes_mod.segments(200_000)[0]())
+    mask = Finds(next(primes_mod.segments(200_000))())
     b0 = (100_001 - 3) // 2
     every = primes_mod._gaps(mask, 3, b0, b0 + 4096, -1)
     for half in range(12):
