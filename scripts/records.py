@@ -1,6 +1,6 @@
-"""Regenerate src/kramanujan/segments.csv and src/kramanujan/records.csv, the
-exact tables that `kramanujan verify` and `kramanujan compute` read, from one
-pass over the sieve segments to the horizon.
+"""Regenerate src/kramanujan/segments.csv, the exact table that the package's
+walks over the sieve segments read, from one pass over the segments to the
+horizon.
 
 Usage, from the repository root (the directory defaults to the package's):
 
@@ -15,35 +15,18 @@ the number of primes in [low, high), and the largest gap q - p of the pairs
 tie; 0,0 when the segment owns no pair).  Each mask also holds the prime
 before its segment, so no row needs another.
 
-records.csv has a header line with the floor and horizon.  Each row
-a,prime,prev_prime is an index a <= pi(horizon) whose gap ratio
-p_a/p_(a-1) exceeds the floor and every later ratio up to the horizon.  Two
-facts give the rows:
-
-1. p_a/p_(a-1) = 1 + gap/p_(a-1), so with G the largest gap up to the
-   horizon, a ratio exceeds the floor only where p_(a-1) < G/(floor - 1),
-   and every ratio past that point is at most the floor.
-2. So the rows are breakpoints(floor) on the primes up to
-   G/(floor - 1) + G, the package's primes.record_prefix with G = MAX_GAP.
-   The largest gap of segments.csv is checked to be within MAX_GAP: it is
-   292, after 1,453,168,141, below 2*10^9 (Oliveira e Silva, Herzog and
-   Pardi, Math. Comp. 83, 2014), so the prefix ends at 29,200,292.
+The largest gap of the rows is checked to be within MAX_GAP, on which every
+record prefix rests: it is 292, after 1,453,168,141, below 2*10^9 (Oliveira
+e Silva, Herzog and Pardi, Math. Comp. 83, 2014).
 """
 
 from __future__ import annotations
 
 import sys
 from bisect import bisect_left
-from fractions import Fraction
 from pathlib import Path
 
-from kramanujan.core import breakpoints
-from kramanujan.primes import DEFAULT_SIEVE_BUDGET, MAX_GAP, record_prefix, segments
-from kramanujan.primes import sieve_upto
-
-# certified_bound(FLOOR) is past the horizon, and the bound does not increase
-# with k, so every k whose bound is within the horizon exceeds FLOOR.
-FLOOR = Fraction(100001, 100000)
+from kramanujan.primes import DEFAULT_SIEVE_BUDGET, MAX_GAP, segments
 
 
 def segment_rows(horizon: int) -> list[tuple[int, int, int, int, int]]:
@@ -64,22 +47,14 @@ def segment_rows(horizon: int) -> list[tuple[int, int, int, int, int]]:
     return rows
 
 
-def write_table(path: Path, header: str, rows: list[tuple[int, ...]]) -> None:
-    lines = [header, *(",".join(map(str, r)) for r in rows)]
-    path.write_text("".join(line + "\n" for line in lines))
-
-
 def main(argv: list[str]) -> int:
     out = Path(argv[0]) if argv else Path(__file__).parents[1] / "src" / "kramanujan"
-    floor, horizon = FLOOR, DEFAULT_SIEVE_BUDGET
-    parts = segment_rows(horizon)
-    if (gap := max(r[3] for r in parts)) > MAX_GAP:  # record_prefix's G
+    horizon = DEFAULT_SIEVE_BUDGET
+    rows = segment_rows(horizon)
+    if (gap := max(r[3] for r in rows)) > MAX_GAP:  # record_prefix's G
         raise RuntimeError(f"a prime gap of {gap} below {horizon} exceeds {MAX_GAP}")
-    store = sieve_upto(record_prefix(horizon, floor))
-    rows = [r[:3] for r in breakpoints(floor, store.count, store)]
-    write_table(out / "segments.csv", "low,high,primes,gap,prev", parts)
-    header = f"floor {floor.numerator}/{floor.denominator} horizon {horizon}"
-    write_table(out / "records.csv", header, rows)
+    lines = ["low,high,primes,gap,prev", *(",".join(map(str, r)) for r in rows)]
+    (out / "segments.csv").write_text("".join(line + "\n" for line in lines))
     return 0
 
 

@@ -1,6 +1,6 @@
-"""First (and nth) k-Ramanujan primes: the record table's answers, explicit
-upper bounds, the breakpoint table's walk over the segment masks, and the
-stride-n record-ratio search behind the nth-prime scan."""
+"""First (and nth) k-Ramanujan primes: explicit upper bounds, the record walk
+over the segment masks behind R_1 and the breakpoint table, and the stride-n
+record-ratio search behind the nth-prime scan."""
 
 from __future__ import annotations
 
@@ -8,14 +8,14 @@ import math
 import re
 from contextlib import suppress
 from fractions import Fraction
-from itertools import compress, count, islice
+from itertools import compress, count, islice, takewhile
 from operator import sub
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import DomainError, InconclusiveError, RangeError, UnsupportedRangeError
 from .errors import ResourceLimitError
 from .primes import MAX_GAP, PrimeStore, _count_to, _gaps, _index, _nth_one, _slices
-from .primes import _table, horizon, record_prefix, sieve_upto
+from .primes import horizon, record_prefix, sieve_upto
 from .theorems import BUILTIN_THEOREMS, GapTheorem
 
 _RATIONAL = re.compile(r"^\s*(\d+(?:\.\d{1,15})?|\d+/0*[1-9]\d*)\s*$")
@@ -50,8 +50,7 @@ class BreakpointEntry(NamedTuple):
 
 
 class Answer(NamedTuple):
-    """R_1^(k) = p_index, read from the record table below the certified
-    bound, and whether k is exactly some gap ratio p_n/p_{n-1}."""
+    """R_1^(k) = p_index, its certified bound, and whether k is some p_n/p_{n-1}."""
 
     prime: int
     index: int
@@ -95,63 +94,63 @@ def certified_bound(k: Fraction) -> int:
 def first_k_ramanujan(k: Fraction) -> Answer:
     """R_1^(k) as an Answer(prime, index, bound, k_equals_gap_ratio).
 
-    p_m for m = max{n >= 2 | p_n/p_{n-1} > k} (2 if none) is the last row above k
-    of records.csv, the record table to its horizon, since no ratio past the bound
-    exceeds k and k exceeds the table's floor (ResourceLimitError past it)."""
+    p_m for m = max{n >= 2 | p_n/p_{n-1} > k} (2 if none) is the first record
+    above k of the walk from min(bound, record_prefix) down, since no ratio past
+    either exceeds k (ResourceLimitError for a bound past the horizon)."""
     bound = certified_bound(k)
-    header, *rows = _table("records.csv")
-    if bound > (horizon := int(header.split()[-1])):
-        raise ResourceLimitError(f"certified bound {bound} exceeds budget {horizon}")
-    num, den = k.numerator, k.denominator
-    index, prime = next(((a, p) for a, p, q in rows[::-1] if p * den > num * q), (1, 2))
+    if bound > (end := horizon()):
+        raise ResourceLimitError(f"certified bound {bound} exceeds budget {end}")
+    top = min(bound, record_prefix(end, k))
+    index, prime, *_ = next(_records(k, _index(top)), (1, 2))
     return Answer(prime, index, bound, k_equals_gap_ratio(k, bound))
 
 
 def table_rows(k_min: Fraction, index_limit: int) -> list[BreakpointEntry]:
     """breakpoints(k_min, N), N = index_limit, by one right-to-left walk over the
-    index's masks from min(p_N, record_prefix).  With num/den the best ratio so
-    far, a segment whose row's gap g has g*den <= (num - den)*start is not sieved,
-    and a slice from the prime p passes only gaps past (num - den)*p // den to the
-    big-int check.  Past pi(horizon) N is pi(horizon) if k_min's certified bound
-    is within it (no later ratio exceeds k_min), else a ResourceLimitError."""
-    end = horizon()
-    walk = []  # (segment, row, pi(low - 1)) up to p_N's segment, or the prefix's
-    for seg, row, n in _index(record_prefix(end, k_min)):
-        if n + 1 >= index_limit:  # p_N lies in the segment before
-            break
-        walk.append((seg, row, n + 1))
-    else:  # p_N lies in the prefix's segment, or past it
-        past = True
-        with suppress(DomainError):  # k_min <= 1, or every bound overflows
-            past = certified_bound(k_min) > end
-        if past:  # pi(end): 2, the walk's segments, then the index's from its last
-            for seg, row, m in _index(end, seg.args[1]):
-                pass
-            past = index_limit > 1 + n + m + _count_to(seg, end, row)
-        if past:
-            raise ResourceLimitError(f"p_{index_limit} is past the sieve budget {end}")
-    seg, row, pi = walk[-1]
-    start, low, high = seg.args[:3]
-    top = seg()  # cut after p_N, found from the nearer end
-    total = row[2] if row and high == row[1] else 0  # 0: no row, or a cut one
-    del top[_nth_one(top, (low - start) // 2, index_limit - pi, total) + 1 :]
-    out, num, den = [], k_min.numerator, k_min.denominator  # num/den: the ratio to beat
-    for seg, row, pi in reversed(walk):
-        start, low = seg.args[:2]
-        mask, top = top, None  # p_N's first; later, the last is dropped: one alive
+    index's masks from min(p_N, record_prefix).  Past pi(horizon) N is
+    pi(horizon) if k_min's certified bound is within it (no later ratio exceeds
+    k_min), else a ResourceLimitError, raised before the walk keeps a segment."""
+    end, past = horizon(), True
+    with suppress(DomainError):  # k_min <= 1, or every bound overflows
+        past = certified_bound(k_min) > end
+    if past:  # count to p_N's segment, or pi(end): 2, then the segments'
+        for seg, row, n in _index(end):
+            if n + 1 >= index_limit:
+                break
+        else:
+            if index_limit > 1 + n + _count_to(seg, end, row):
+                raise ResourceLimitError(f"p_{index_limit} is past the sieve budget {end}")
+        del seg  # and the base primes that the count grew, past the walk's
+    prefix = record_prefix(end, k_min)  # the walk: to p_N's segment, or the prefix's
+    walk = [*takewhile(lambda step: step[2] + 1 < index_limit, _index(prefix))]
+    return [*_records(k_min, walk, index_limit - walk[-1][2] - 1)][::-1]
+
+
+def _records(k_min: Fraction, walk, r: int = 0) -> Iterator[BreakpointEntry]:
+    """Lazily, right to left, the gap-ratio records above k_min in walk's segments,
+    the index's (seg, row, n) in order, the last cut after its rth prime from low
+    if r > 0.  With num/den the best ratio so far, a segment whose row's gap g
+    has g*den <= (num - den)*start is not sieved, and a slice from the prime p
+    passes only gaps past (num - den)*p // den to the big-int check."""
+    num, den = k_min.numerator, k_min.denominator  # the ratio to beat
+    for seg, row, n in [*walk][::-1]:
+        start, low, high = seg.args[:3]
+        nth, r, mask = r, 0, None  # only the last is cut; one mask alive
         if row and row[3] * den <= (num - den) * start:
             continue
-        mask = seg() if mask is None else mask
+        mask = seg()
+        if nth:  # found from the nearer end; total 0: no row, or a cut one
+            total = row[2] if row and high == row[1] else 0
+            del mask[_nth_one(mask, (low - start) // 2, nth, total) + 1 :]
         for b0, b1 in reversed(_slices((max(low, 4) - start + 1) // 2, len(mask))):
             cut = max(num - den, 0) * (start + 2 * mask.rfind(1, 0, b0)) // den
             for p, q in reversed(_gaps(mask, start, b0, b1, min(cut, MAX_GAP) // 2)):
                 if q * den > num * p:  # a row, indexed from the nearer end
-                    a = pi + _count_to(seg, q, row, mask)
-                    out.append(BreakpointEntry(a, q, p, Fraction(q, p)))
+                    a = 1 + n + _count_to(seg, q, row, mask)
+                    yield BreakpointEntry(a, q, p, Fraction(q, p))
                     num, den = q, p
     if 3 * den > 2 * num:  # the pair (2, 3), which no mask holds
-        out.append(BreakpointEntry(2, 3, 2, Fraction(3, 2)))
-    return out[::-1]
+        yield BreakpointEntry(2, 3, 2, Fraction(3, 2))
 
 
 def brute_force_R(k: Fraction, n: int, scan_limit: int) -> tuple[int, int]:

@@ -104,8 +104,8 @@ def segments(limit: int) -> Iterator[partial]:
     """Lazily, one zero-argument sieve per segment [low, high) of [3, limit], in
     order, each taking start = max(3, low - MAX_GAP), low and high as its first
     three arguments and returning the odd mask of [start, high) as a bytearray
-    (byte i: whether start + 2i is prime).  The base primes reach isqrt(limit +
-    2 * _SEGMENT_ODDS), so they also sieve the rest of a segment limit truncates."""
+    (byte i: whether start + 2i is prime).  Each comes with the base primes to
+    isqrt(high - 1) of its full segment, so they also sieve what limit cuts off."""
     if _budgeted(limit) < 3:
         return
     root = math.isqrt(min(limit + 2 * _SEGMENT_ODDS, DEFAULT_SIEVE_BUDGET + 1) - 1)
@@ -113,12 +113,13 @@ def segments(limit: int) -> Iterator[partial]:
     for p in range(3, math.isqrt(root) + 1, 2):
         if flags[p]:
             flags[p * p :: 2 * p] = bytes(len(range(p * p, root + 1, 2 * p)))
-    odd = compress(range(_WHEEL[-1] + 2, root + 1, 2), flags[_WHEEL[-1] + 2 :: 2])
     wheel = bytearray([1]) * math.prod(_WHEEL)  # byte j stands for 2j + 1
     for p in _WHEEL:
         wheel[p // 2 :: p] = bytes(len(range(p // 2, len(wheel), p)))
-    base, wheel, low = [*_WHEEL, *odd], bytes(wheel), 3  # wheel primes first
+    base, wheel, low = [*_WHEEL], bytes(wheel), 3  # wheel primes first
     while low <= limit:
+        root = math.isqrt(_high(low) - 1)  # the full segment's base primes
+        base += filter(flags.__getitem__, range(base[-1] + 2, root + 1, 2))
         yield partial(_segment, max(3, low - MAX_GAP), low, min(_high(low), limit + 1),
                       base, wheel)
         low = _high(low)
@@ -137,18 +138,17 @@ def _index(limit: int, x: int = 3) -> Iterator[tuple[partial, tuple | None, int]
     for i, seg in enumerate(segments(limit)):
         low, high = seg.args[1:3]
         if high > x:
-            rows = rows or islice(_table("segments.csv", i), 1, None)
+            rows = rows or _table(i)
             row = r if (r := next(rows, ()))[:2] == (low, _high(low)) else None
             yield seg, row, n
             n += row[2] if row else high <= limit and _count_to(seg, high - 1, None)
 
 
-def _table(name: str, i: int = 0) -> Iterator:
-    """The header line, then lazily the integer rows from row i, of a committed
-    table that scripts/records.py writes: records.csv or segments.csv."""
-    with open(os.path.join(os.path.dirname(__file__), name)) as f:
-        yield f.readline()
-        for r in islice(f, i, None):
+def _table(i: int = 0) -> Iterator:
+    """Lazily, the integer rows from row i of segments.csv, the committed table
+    that scripts/records.py writes."""
+    with open(os.path.join(os.path.dirname(__file__), "segments.csv")) as f:
+        for r in islice(f, i + 1, None):  # past the header line
             yield tuple(map(int, r.split(",")))
 
 

@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from kramanujan import breakpoints, sieve_upto
 from kramanujan import primes as primes_mod
-from kramanujan import sieve_upto
+
+from reference import FLOOR
 
 
 @pytest.fixture(scope="session")
@@ -20,14 +22,21 @@ def store_10m():
 
 @pytest.fixture(scope="session")
 def store_21m():
-    # past the last row of records.csv, 20831533 = p_1319946
+    # past the last gap-ratio record above FLOOR, 20831533 = p_1319946
     return sieve_upto(21_000_000)
 
 
 @pytest.fixture(scope="session")
+def floor_rows(store_21m):
+    """The gap-ratio records above FLOOR on the sieve to 21e6: the 92 rows to
+    the horizon, as the walk to record_prefix(2e9, FLOOR) = 29,200,292 finds
+    none past 20831533 (tested)."""
+    return breakpoints(FLOOR, store_21m.count, store_21m)
+
+
+@pytest.fixture(scope="session")
 def records_script():
-    """scripts/records.py, loaded as a module: the generator of records.csv
-    and segments.csv."""
+    """scripts/records.py, loaded as a module: the generator of segments.csv."""
     path = Path(__file__).resolve().parents[1] / "scripts" / "records.py"
     spec = importlib.util.spec_from_file_location("records", path)
     script = importlib.util.module_from_spec(spec)
@@ -43,12 +52,10 @@ def small_tables(records_script):
     too, its last row is a full segment's, and 60,000 is table's horizon."""
     tables = {}
 
-    def table(name, i=0):
-        assert name == "segments.csv"
+    def table(i=0):
         odds = primes_mod._SEGMENT_ODDS
         if odds not in tables:
             tables[odds] = records_script.segment_rows(60_000)
-        yield ""
         yield from tables[odds][i:]
 
     return table

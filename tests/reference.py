@@ -1,11 +1,15 @@
 """Definition-level references for the package's record searches: each walks
-every index or critical point, with no float prescreen and no record table."""
+every index or critical point, with no float prescreen and no segment table."""
 
 from fractions import Fraction
 
 import numpy as np
 
 from kramanujan import BreakpointEntry, DomainError, InconclusiveError, RangeError
+
+# certified_bound(FLOOR) is past the horizon, and the bound does not increase
+# with k, so every k whose bound is within the horizon exceeds FLOOR
+FLOOR = Fraction(100001, 100000)
 
 
 def reference_breakpoints(k_min, index_limit, store, n=1):

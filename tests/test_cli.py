@@ -98,7 +98,8 @@ def test_compute_trudgian_x0(capsys):
 
 
 def test_compute_past_the_old_sieve_memory(capsys):
-    # Trudgian's bound 1.65e9 needed a 1.36 GB sieve; the record table answers
+    # Trudgian's bound 1.65e9 needed a 1.36 GB sieve; the walk down from
+    # record_prefix(2e9, 1.00002) = 14,600,292 answers
     code, rec = run_json(capsys, "compute", "--k", "1.00002")
     assert code == 0
     assert (rec["prime"], rec["index"]) == (7230479, 491238)
@@ -576,7 +577,7 @@ def test_verify_custom_c_zero_domain_exit(capsys):
         ["verify", "--theorem", "axler", "--from", "58837", "--to", "3000000000"],
         ["compute", "--k", "2", "--n", "2", "--scan-limit", "3000000000"],
         ["compute", "--k", "1.00000005"],  # axler's 125-digit bound
-        # past the float range, at a k_min whose bound is past records.csv
+        # past the float range, at a k_min whose bound is past the horizon
         ["table", "--k-min", "1.00001", "--index-limit", "1" + "0" * 400],
         # one past pi(2e9) and past the budget by one: each prefix (29,200,292
         # and 2,920,292) is within the budget, but the full limit decides
@@ -632,7 +633,7 @@ def test_custom_c_same_syntax_as_k(capsys, c):
 
 
 def test_table_k_min_at_one(capsys, store_60k):
-    # the record table is defined for any k_min, 1 and below included
+    # the breakpoint table is defined for any k_min, 1 and below included
     code, rec = run_json(
         capsys, "table", "--k-min", "1", "--index-limit", "100", "--format", "json"
     )
@@ -960,9 +961,9 @@ def test_cli_imports_no_mpmath():
 
 
 def test_cli_starts_without_numpy():
-    # compute and table at the paper's k_min read records.csv, bound is exact
-    # decimal arithmetic, the oracle and a table that sieves read an array of
-    # the masks, and verify scans the masks: no call loads numpy or a pool
+    # compute and table walk the masks, bound is exact decimal arithmetic, the
+    # oracle reads an array of the masks, and verify scans the masks: no call
+    # loads numpy or a pool
     code = "\n".join([
         "import sys",
         "from kramanujan.cli import main",

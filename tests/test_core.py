@@ -3,7 +3,7 @@ import random
 from bisect import bisect_left
 import tracemalloc
 from fractions import Fraction
-from pathlib import Path
+from functools import partial
 
 import mpmath
 import pytest
@@ -30,15 +30,14 @@ from kramanujan import (
     sieve_upto,
     verify_theorem,
 )
-from kramanujan import cli
+from kramanujan import BUILTIN_THEOREMS, DUSART, cli
 from kramanujan import primes as primes_mod
 from kramanujan.core import k_equals_gap_ratio
 from kramanujan.primes import DEFAULT_SIEVE_BUDGET, MAX_GAP
 from kramanujan.primes import record_prefix
 
-from reference import critical_point_R, reference_breakpoints
+from reference import FLOOR, critical_point_R, reference_breakpoints
 
-RECORDS = Path(core.__file__).with_name("records.csv")
 PAPER_K = Fraction("1.0008968291")
 
 
@@ -437,105 +436,66 @@ def test_answer_flag_agrees_with_the_store(store_60k, k):
 
 
 class TestRecordTable:
-    """records.csv, the table first_k_ramanujan reads, and its header."""
+    """The gap-ratio records above FLOOR, which the walk finds to the horizon."""
 
-    FLOOR = Fraction(100001, 100000)
+    def test_rows_are_the_records_above_the_floor(self, walk_rows, floor_rows):
+        # the walk stops at record_prefix(2e9, FLOOR) = 292 * 10^5 + 292 and
+        # finds no row past 20831533 = p_1319946 below it
+        assert record_prefix(DEFAULT_SIEVE_BUDGET, FLOOR) == 29_200_292
+        assert walk_rows == floor_rows
+        assert len(walk_rows) == 92 and walk_rows[-1][:2] == (1319946, 20831533)
 
-    def test_header(self):
-        header = RECORDS.read_text().splitlines()[0]
-        assert header.split() == [
-            "floor", "100001/100000", "horizon", str(DEFAULT_SIEVE_BUDGET)
-        ]
-        assert next(core._table("records.csv")) == header + "\n"
+    def test_paper_rows(self, walk_rows, store_60k):
+        above = [r for r in walk_rows if r.ratio > PAPER_K]
+        assert above == breakpoints(PAPER_K, 5950, store_60k)
+        assert len(above) == 44 and above[-1][:3] == (5950, 58889, 58831)
 
-    def test_rows_are_the_records_above_the_floor(self):
-        # the largest gap below 2*10^9 is 292 (Oliveira e Silva, Herzog and
-        # Pardi 2014), so no ratio past p_(a-1) = 292 * 10^5 exceeds the floor
-        store = sieve_upto(29_200_292)
-        rows = breakpoints(self.FLOOR, store.count, store)
-        want = [(r.index, r.prime, r.prev_prime) for r in rows]
-        assert [*core._table("records.csv")][1:] == want
-        assert len(rows) == 92
-        assert rows[-1].prime == 20831533
 
-    def test_paper_rows(self, store_60k):
-        above = [
-            (a, p, q)
-            for a, p, q in [*core._table("records.csv")][1:]
-            if p * PAPER_K.denominator > PAPER_K.numerator * q
-        ]
-        paper = breakpoints(PAPER_K, 5950, store_60k)
-        assert above == [(r.index, r.prime, r.prev_prime) for r in paper]
-        assert len(above) == 44 and above[-1] == (5950, 58889, 58831)
+@pytest.fixture(scope="module")
+def walk_rows():
+    """The walk's 92 gap-ratio records above FLOOR, to pi(2e9)."""
+    return core.table_rows(FLOOR, 98_222_287)
 
-    def test_every_k_within_the_horizon_is_above_the_floor(self):
-        # the bound does not increase with k, so a k whose bound is within
-        # the horizon exceeds the floor
-        assert certified_bound(self.FLOOR) == 10848210585662 > DEFAULT_SIEVE_BUDGET
 
-    @pytest.mark.parametrize(
-        "floor, horizon, odds, prefix, count",
-        [
-            # the largest gap to 10^6 is 114, after 492113
-            (Fraction(1001, 1000), 10**6, None, 114 * 1000 + 114, 43),
-            (Fraction(100001, 100000), 10**6, None, 10**6, 74),  # the horizon
-            (Fraction(11, 10), 10**6, None, 114 * 10 + 114, 7),
-            # segments 60 wide: the largest gap to 10^5, 72 after 31397, spans a
-            # seam, and the mask of the segment holding 31469 reaches below it
-            (Fraction(1001, 1000), 10**5, 30, 72 * 1000 + 72, 43),
-        ],
-    )
-    def test_generator_at_a_small_horizon(
-        self, records_script, monkeypatch, tmp_path, floor, horizon, odds, prefix,
-        count,
-    ):
-        # the generator at this floor and horizon, with record_prefix's MAX_GAP
-        # the largest gap to the horizon
-        store = sieve_upto(horizon)
-        expected = breakpoints(floor, store.count, store)
-        limits = []
-        monkeypatch.setattr(
-            records_script, "sieve_upto", lambda n: limits.append(n) or sieve_upto(n)
-        )
-        if odds:
-            monkeypatch.setattr(primes_mod, "_SEGMENT_ODDS", odds)
-        gap = max(row[3] for row in records_script.segment_rows(horizon))
-        monkeypatch.setattr(primes_mod, "MAX_GAP", gap)
-        monkeypatch.setattr(records_script, "FLOOR", floor)
-        monkeypatch.setattr(records_script, "DEFAULT_SIEVE_BUDGET", horizon)
-        assert records_script.main([str(tmp_path)]) == 0
-        header, *lines = (tmp_path / "records.csv").read_text().splitlines()
-        assert header == f"floor {floor} horizon {horizon}"
-        rows = [tuple(map(int, line.split(","))) for line in lines]
-        assert rows == [(r.index, r.prime, r.prev_prime) for r in expected]
-        assert limits == [prefix] and len(rows) == count
+def _bound(thm, k):
+    """thm's bound on R_1^(k): its corollary where it admits k, else k_max * x0's."""
+    return thm.corollary_bound(k) if thm.admits(k) else thm.k_max_bound()
 
-    def test_generator_refuses_a_gap_past_max_gap(
-        self, records_script, monkeypatch, tmp_path
-    ):
-        # the largest gap to 10^6 is 114: with a MAX_GAP of 113 the prefix
-        # could cut off a ratio above the floor, so nothing is written
-        monkeypatch.setattr(records_script, "MAX_GAP", 113)
-        monkeypatch.setattr(records_script, "DEFAULT_SIEVE_BUDGET", 10**6)
-        with pytest.raises(RuntimeError, match="gap of 114 below 1000000 exceeds 113"):
-            records_script.main([str(tmp_path)])
-        assert not any(tmp_path.iterdir())
 
-    @pytest.mark.slow
-    def test_regenerated_table_is_the_committed_file(
-        self, records_script, monkeypatch, tmp_path
-    ):
-        # one pass to 2*10^9 writes segments.csv, whose largest gap is
-        # MAX_GAP, so the prefix of records.csv is MAX_GAP/(floor - 1) + MAX_GAP
-        limits = []
-        monkeypatch.setattr(
-            records_script, "sieve_upto", lambda n: limits.append(n) or sieve_upto(n)
-        )
-        assert records_script.main([str(tmp_path)]) == 0
-        for name in ("records.csv", "segments.csv"):
-            committed = RECORDS.with_name(name).read_bytes()
-            assert (tmp_path / name).read_bytes() == committed
-        assert limits == [MAX_GAP * 10**5 + MAX_GAP] == [29_200_292]
+def _audit(bound, rows):
+    """The rows (a, p, q) whose ratio k = p/q has bound(k) < p.  R_1^(k') = p for
+    k' in (the next row's ratio, k), and each bound is the ceiling of a value
+    continuous in k and irrational at a rational k, so it is the same at k as
+    just below it: a sound one has bound(k) >= p."""
+    return [r for r in rows if bound(r.ratio) < r.prime]
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_THEOREMS, "certified_bound"])
+def test_bound_audit(walk_rows, name):
+    # the floor's bound is past the horizon, so the rows above the floor are
+    # every row at which a bound within the horizon can be checked
+    assert certified_bound(FLOOR) == 10848210585662 > DEFAULT_SIEVE_BUDGET
+    thm = BUILTIN_THEOREMS.get(name)
+    assert _audit(partial(_bound, thm) if thm else certified_bound, walk_rows) == []
+
+
+@pytest.mark.parametrize(
+    "thm, p, q", [(AXLER, 58889, 58831), (DUSART, 396833, 396733),
+                  (TRUDGIAN, 2898359, 2898239)],
+)
+def test_bound_audit_is_tight_at_each_x0_record(walk_rows, thm, p, q):
+    # the first record past each theorem's x0: its bound there is R_1 + 1
+    k = Fraction(p, q)
+    assert k in [r.ratio for r in walk_rows]
+    assert _bound(thm, k) == p + 1
+
+
+def test_bound_audit_refutes_trudgians_old_x0(walk_rows):
+    # x0 = 2,898,239 gives k_max * x0 = 2,898,357 at k = 2898359/2898239,
+    # below R_1 = 2,898,359 just under that k
+    old = GapTheorem("trudgian", 2898239, Fraction(1, 111), 2)
+    failed = _audit(partial(_bound, old), walk_rows)
+    assert [(r.prime, _bound(old, r.ratio)) for r in failed] == [(2898359, 2898357)]
 
 
 def test_a_gap_past_max_gap_raises(records_script, monkeypatch):
@@ -553,21 +513,22 @@ def test_a_gap_past_max_gap_raises(records_script, monkeypatch):
 
 
 # the bound does not increase with k, so every k >= K_LOW has a certified
-# bound <= 3,001,491 and the sieve stays small
-K_LOW = Fraction("1.0000405")
-K_LOW_BOUND = 3_001_491
+# bound <= 9,283,354, which the 10^7 sieve holds: the walk answers from
+# record_prefix(2e9, K_LOW) = 8,343,149 down
+K_LOW = Fraction("1.000035")
+K_LOW_BOUND = 9_283_354
 
 
-def _k_within_trudgian(data, store):
+def _k_within_trudgian(data, store, rows):
     way = data.draw(st.sampled_from(["log_uniform", "gap_ratio", "row", "large"]))
     if way == "log_uniform":
-        t = data.draw(st.floats(min_value=math.log(4.05e-5), max_value=0.0))
+        t = data.draw(st.floats(min_value=math.log(3.5e-5), max_value=0.0))
         return max(K_LOW, 1 + Fraction(math.exp(t)))
-    if way == "gap_ratio":  # p_n <= 49,000 keeps p_n/p_{n-1} above 1.0000405
-        n = data.draw(st.integers(min_value=2, max_value=store.prime_count(49_000)))
+    if way == "gap_ratio":  # p_n <= 57,000 keeps p_n/p_{n-1} above 1.000035
+        n = data.draw(st.integers(min_value=2, max_value=store.prime_count(57_000)))
         return Fraction(store.nth_prime(n), store.nth_prime(n - 1))
     if way == "row":  # a record ratio, or next to it
-        ratios = [Fraction(p, q) for _, p, q in [*core._table("records.csv")][1:]]
+        ratios = [r.ratio for r in rows]
         r = data.draw(st.sampled_from([r for r in ratios if r > K_LOW + 1e-15]))
         return r + data.draw(st.sampled_from([0, 1, -1])) * Fraction(1, 10**15)
     return data.draw(st.fractions(min_value=2, max_value=10**6, max_denominator=10**6))
@@ -583,8 +544,8 @@ def _assert_table_matches_the_sieve(k, store):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_table_matches_the_sieve(store_10m, data):
-    k = _k_within_trudgian(data, store_10m)
+def test_table_matches_the_sieve(store_10m, floor_rows, data):
+    k = _k_within_trudgian(data, store_10m, floor_rows)
     assert k >= K_LOW
     _assert_table_matches_the_sieve(k, store_10m)
 

@@ -63,7 +63,8 @@ def test_sieve_budget():
 
 
 def test_record_prefix():
-    # records.csv's prefix; R_9^(2)'s is 9 * 292 * 2; k <= 1 keeps the limit
+    # the prefix at 1.00001, below every k that compute answers; R_9^(2)'s is
+    # 9 * 292 * 2; k <= 1 keeps the limit
     assert primes_mod.record_prefix(2 * 10**9, Fraction(100001, 100000)) == 29_200_292
     assert primes_mod.record_prefix(10**6, Fraction(100001, 100000)) == 10**6
     assert primes_mod.record_prefix(10**6, Fraction(2), 9) == 5256

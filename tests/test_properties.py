@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from kramanujan import (
     BUILTIN_THEOREMS,
-    BreakpointEntry,
     ResourceLimitError,
     breakpoints,
     certified_bound,
@@ -155,30 +154,25 @@ def test_failing_property_does_not_abort_the_session(tmp_path):
     assert "1 failed, 1 passed" in proc.stdout
 
 
-def _k_min_within_the_table(data):
+def _k_min_within_the_table(data, rows):
     # k_min - 1 log-uniform in [2e-5, 1], where the bound is at most 2e9, or a
-    # record ratio of records.csv there, or next to it
+    # ratio of the records above the floor there, or next to it
     if data.draw(st.booleans()):
         t = data.draw(st.floats(min_value=math.log(2e-5), max_value=0.0))
         return 1 + Fraction(math.exp(t))
-    ratios = [Fraction(p, q) for _, p, q in [*core._table("records.csv")][1:]]
+    ratios = [r.ratio for r in rows]
     r = data.draw(st.sampled_from([r for r in ratios if r >= Fraction("1.00002")]))
     return r + data.draw(st.sampled_from([0, 1, -1])) * Fraction(1, 10**15)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_table_rows_from_the_record_table(store_21m, data):
-    # no gap ratio past the last row a* of records.csv above k_min exceeds it,
-    # so for every N >= a* the walk gives the record table's rows above k_min
-    k_min = _k_min_within_the_table(data)
+def test_table_rows_from_the_record_table(store_21m, floor_rows, data):
+    # no gap ratio past the last record a* above k_min exceeds it, so for every
+    # N >= a* the walk gives the records above the floor that exceed k_min
+    k_min = _k_min_within_the_table(data, floor_rows)
     assert certified_bound(k_min) <= 2 * 10**9
-    num, den = k_min.numerator, k_min.denominator
-    rows = [
-        BreakpointEntry(a, p, q, Fraction(p, q))
-        for a, p, q in [*core._table("records.csv")][1:]
-        if p * den > num * q
-    ]
+    rows = [r for r in floor_rows if r.ratio > k_min]
     a_star = rows[-1].index if rows else 1
     n = data.draw(st.one_of(
         st.sampled_from([max(a_star, 2), a_star + 1]),

@@ -3,6 +3,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -22,7 +23,6 @@ from kramanujan import (
     RangeError,
     ResourceLimitError,
     TRUDGIAN,
-    core,
     sieve_upto,
     verify_theorem,
 )
@@ -474,7 +474,7 @@ def test_sieves_only_what_no_row_certifies(thm, lo, hi, sieved, pairs, monkeypat
 @pytest.mark.parametrize("thm,lo,hi", [case[:3] for case in SIEVED[1:]])
 def test_table_and_sieve_agree(thm, lo, hi, monkeypatch):
     want = verify_theorem(thm, lo, hi)
-    monkeypatch.setattr(primes_mod, "_table", lambda *args: iter([""]))  # sieve all
+    monkeypatch.setattr(primes_mod, "_table", lambda *args: iter([]))  # sieve all
     got = verify_theorem(thm, lo, hi)
     assert (got.pairs_checked, got.violations) == (want.pairs_checked, want.violations)
 
@@ -585,10 +585,11 @@ class TestSegmentTable:
 
     @pytest.fixture(scope="class")
     def rows(self):
-        return [*primes_mod._table("segments.csv")][1:]
+        return [*primes_mod._table()]
 
     def test_header_and_one_row_per_segment_to_the_budget(self, rows):
-        assert next(primes_mod._table("segments.csv")) == "low,high,primes,gap,prev\n"
+        text = Path(primes_mod.__file__).with_name("segments.csv").read_text()
+        assert text.startswith("low,high,primes,gap,prev\n")
         parts = primes_mod.segments(primes_mod.DEFAULT_SIEVE_BUDGET)
         assert [row[:2] for row in rows] == [seg.args[1:3] for seg in parts]
         assert len(rows) == 1018
@@ -604,8 +605,8 @@ class TestSegmentTable:
         assert sum(row[2] for row in rows) == 98_222_286
 
     def test_rows_by_index(self, rows):
-        assert [*islice(primes_mod._table("segments.csv", 5), 1, 4)] == rows[5:8]
-        assert [*primes_mod._table("segments.csv", 1017)][1:] == rows[1017:]
+        assert [*islice(primes_mod._table(5), 3)] == rows[5:8]
+        assert [*primes_mod._table(1017)] == rows[1017:]
 
     def test_largest_gap_is_max_gap(self, rows):
         assert max(row[3] for row in rows) == primes_mod.MAX_GAP
@@ -617,24 +618,43 @@ class TestSegmentTable:
                 records.append((gap, prev))
         assert records == PUBLISHED_MAXIMAL_GAPS
 
+    def test_generator_refuses_a_gap_past_max_gap(
+        self, records_script, monkeypatch, tmp_path
+    ):
+        # the largest gap to 10^6 is 114: with a MAX_GAP of 113 a walk's record
+        # prefix could cut off a ratio, so nothing is written
+        monkeypatch.setattr(records_script, "MAX_GAP", 113)
+        monkeypatch.setattr(records_script, "DEFAULT_SIEVE_BUDGET", 10**6)
+        with pytest.raises(RuntimeError, match="gap of 114 below 1000000 exceeds 113"):
+            records_script.main([str(tmp_path)])
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.slow
+    def test_regenerated_table_is_the_committed_file(self, records_script, tmp_path):
+        # one pass to 2*10^9 writes segments.csv, whose largest gap is MAX_GAP
+        assert records_script.main([str(tmp_path)]) == 0
+        committed = Path(primes_mod.__file__).with_name("segments.csv").read_bytes()
+        assert (tmp_path / "segments.csv").read_bytes() == committed
+        assert [p.name for p in tmp_path.iterdir()] == ["segments.csv"]
+
 
 def test_each_command_parses_only_the_rows_it_walks(monkeypatch, capsys):
-    # compute parses records.csv's 92 rows and bound no table; table and verify
-    # parse only the segments.csv rows of the segments they walk, through
-    # primes' index: table up to p_N's segment and the next, whose count
-    # places p_N before it, or up to the paper's record prefix's, whichever
-    # comes first, so rows 0 and 1 for p_5950 = 58,889 and rows 0 to 2 for N =
-    # pi(2e9), as the prefix, 325,883, lies in the third segment; and row 0
-    # for verify, as 60,000 lies in the first
+    # each command parses only the segments.csv rows of the segments it walks,
+    # through primes' index, and bound parses none: compute up to its walk's
+    # top, min(58,890, record_prefix(2e9, 1.1) = 3,212), so row 0; table up to
+    # p_N's segment and the next, whose count places p_N before it, or up to
+    # the paper's record prefix's, whichever comes first, so rows 0 and 1 for
+    # p_5950 = 58,889 and rows 0 to 2 for N = pi(2e9), as the prefix, 325,883,
+    # lies in the third segment; and row 0 for verify, as 60,000 lies in the
+    # first
     read, table = [], primes_mod._table
 
-    def spy(name, *rows):
-        read.append(entry := [name, *rows, 0])  # and the number of rows parsed
-        for parsed, line in enumerate(table(name, *rows)):
+    def spy(*rows):
+        read.append(entry := [*rows, 0])  # and the number of rows parsed
+        for parsed, line in enumerate(table(*rows), 1):
             entry[-1] = parsed
             yield line
 
-    monkeypatch.setattr(core, "_table", spy)
     monkeypatch.setattr(primes_mod, "_table", spy)
     for argv in [
         "compute --k 1.1",
@@ -644,8 +664,7 @@ def test_each_command_parses_only_the_rows_it_walks(monkeypatch, capsys):
         "verify --theorem axler --from 58837 --to 60000",
     ]:
         assert cli.main(argv.split()) == 0
-    assert read == [["records.csv", 92], ["segments.csv", 0, 2],
-                    ["segments.csv", 0, 3], ["segments.csv", 0, 1]]
+    assert read == [[0, 1], [0, 2], [0, 3], [0, 1]]
 
 
 def test_scan_accepts_zero_pairs():
