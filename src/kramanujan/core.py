@@ -14,8 +14,8 @@ from typing import Iterator, NamedTuple
 
 from .errors import DomainError, InconclusiveError, RangeError, UnsupportedRangeError
 from .errors import ResourceLimitError
-from .primes import MAX_GAP, PrimeStore, _count_to, _gaps, _index, _nth_one, _slices
-from .primes import horizon, record_prefix, sieve_upto
+from .primes import MAX_GAP, PrimeStore, _count_to, _gaps, _index, _nth_one, _nth_within
+from .primes import _slices, horizon, record_prefix, sieve_upto
 from .theorems import BUILTIN_THEOREMS, GapTheorem
 
 _RATIONAL = re.compile(r"^\s*(\d+(?:\.\d{1,15})?|\d+/0*[1-9]\d*)\s*$")
@@ -109,18 +109,13 @@ def table_rows(k_min: Fraction, index_limit: int) -> list[BreakpointEntry]:
     """breakpoints(k_min, N), N = index_limit, by one right-to-left walk over the
     index's masks from min(p_N, record_prefix).  Past pi(horizon) N is
     pi(horizon) if k_min's certified bound is within it (no later ratio exceeds
-    k_min), else a ResourceLimitError, raised before the walk keeps a segment."""
+    k_min), else a ResourceLimitError, which the rows' prime counts decide
+    before any segment is built."""
     end, past = horizon(), True
     with suppress(DomainError):  # k_min <= 1, or every bound overflows
         past = certified_bound(k_min) > end
-    if past:  # count to p_N's segment, or pi(end): 2, then the segments'
-        for seg, row, n in _index(end):
-            if n + 1 >= index_limit:
-                break
-        else:
-            if index_limit > 1 + n + _count_to(seg, end, row):
-                raise ResourceLimitError(f"p_{index_limit} is past the sieve budget {end}")
-        del seg  # and the base primes that the count grew, past the walk's
+    if past and not _nth_within(index_limit):
+        raise ResourceLimitError(f"p_{index_limit} is past the sieve budget {end}")
     prefix = record_prefix(end, k_min)  # the walk: to p_N's segment, or the prefix's
     walk = [*takewhile(lambda step: step[2] + 1 < index_limit, _index(prefix))]
     return [*_records(k_min, walk, index_limit - walk[-1][2] - 1)][::-1]
@@ -134,14 +129,13 @@ def _records(k_min: Fraction, walk, r: int = 0) -> Iterator[BreakpointEntry]:
     passes only gaps past (num - den)*p // den to the big-int check."""
     num, den = k_min.numerator, k_min.denominator  # the ratio to beat
     for seg, row, n in [*walk][::-1]:
-        start, low, high = seg.args[:3]
+        start, low = seg.args[:2]
         nth, r, mask = r, 0, None  # only the last is cut; one mask alive
         if row and row[3] * den <= (num - den) * start:
             continue
         mask = seg()
-        if nth:  # found from the nearer end; total 0: no row, or a cut one
-            total = row[2] if row and high == row[1] else 0
-            del mask[_nth_one(mask, (low - start) // 2, nth, total) + 1 :]
+        if nth:
+            del mask[_nth_one(mask, (low - start) // 2, nth) + 1 :]
         for b0, b1 in reversed(_slices((max(low, 4) - start + 1) // 2, len(mask))):
             cut = max(num - den, 0) * (start + 2 * mask.rfind(1, 0, b0)) // den
             for p, q in reversed(_gaps(mask, start, b0, b1, min(cut, MAX_GAP) // 2)):

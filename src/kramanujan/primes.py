@@ -7,7 +7,7 @@ import os
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import partial
-from itertools import compress, islice
+from itertools import accumulate, compress, islice
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import DomainError, RangeError, ResourceLimitError
@@ -144,6 +144,12 @@ def _index(limit: int, x: int = 3) -> Iterator[tuple[partial, tuple | None, int]
             n += row[2] if row else high <= limit and _count_to(seg, high - 1, None)
 
 
+def _nth_within(n: int) -> bool:
+    """Whether p_n is within the horizon: 1 for the prime 2, then segments.csv's
+    counts, read row by row only until they reach n."""
+    return any(pi >= n for pi in accumulate((row[2] for row in _table()), initial=1))
+
+
 def _table(i: int = 0) -> Iterator:
     """Lazily, the integer rows from row i of segments.csv, the committed table
     that scripts/records.py writes."""
@@ -173,17 +179,12 @@ def _count_to(seg: partial, x: int, row: tuple | None, mask=None) -> int:
     return mask.count(1, (low - start) // 2, (x - start) // 2 + 1)
 
 
-def _nth_one(mask: bytearray, b: int, r: int, total: int) -> int:
+def _nth_one(mask: bytearray, b: int, r: int) -> int:
     """The byte of mask's rth one from byte b (len(mask) - 1 if it holds fewer),
-    by per-slice counts from the nearer end, which is the top only if total, the
-    number of ones from b, is known (not 0) and at least r."""
-    slices, down = _slices(b, len(mask)), 2 * r > total >= r
-    if down:
-        slices, r = slices[::-1], total + 1 - r
-    for b0, b1 in slices:
-        if r <= (c := mask.count(1, b0, b1)):  # from the top, its (c - r + 1)th one
-            ones = compress(range(b0, b1), mask[b0:b1])
-            return next(islice(ones, c - r if down else r - 1, None))
+    by per-slice counts."""
+    for b0, b1 in _slices(b, len(mask)):
+        if r <= (c := mask.count(1, b0, b1)):
+            return next(islice(compress(range(b0, b1), mask[b0:b1]), r - 1, None))
         r -= c
     return len(mask) - 1
 

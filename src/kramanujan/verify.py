@@ -54,10 +54,10 @@ def _prescreen(thm: GapTheorem, pairs: Iterable[tuple[int, int]], lo: int) -> li
         try:
             thr = x * (1.0 + c / log(x) ** e)
             margin = (thr - q) / thr  # nan when thr is inf
-        except OverflowError:  # log^e x = inf past e = 7547: c/inf = 0, and for
-            # c = inf exp(ln c - e ln ln x), not inf/inf (x(1 + e^709) is inf)
+        except OverflowError:  # log^e x past the float range: c/log^e x is
+            # exp(ln c - e ln ln x), not c/inf = 0 nor inf/inf (x(1 + e^709) is inf)
             tail = min(ln_c - min(e, sys.float_info.max) * log(log(x)), 709.0)
-            thr, margin = x * (1.0 + math.exp(tail) * (c == math.inf)), math.nan
+            thr, margin = x * (1.0 + math.exp(tail)), math.nan
         if margin >= guard:  # a nan margin, not finite, is decided exactly
             continue
         if margin <= -guard or not thm.threshold_exceeds(x, q):

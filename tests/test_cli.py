@@ -299,6 +299,18 @@ def test_table_sieve_limit_within_the_budget_up_to_pi_of_it(n):
             core.table_rows(k_min, n)
 
 
+@pytest.mark.parametrize("k_min", [Fraction(1), Fraction("1.00001")])
+def test_table_past_pi_of_the_budget_builds_no_segment(k_min, monkeypatch):
+    # k_min <= 1 has no certified bound and 1.00001's is past the horizon, so
+    # p_(pi(2e9) + 1) exits 5, decided from segments.csv's counts alone
+    def no_segments(limit):
+        raise AssertionError(f"segments({limit}) was called")
+
+    monkeypatch.setattr(primes_mod, "segments", no_segments)
+    with pytest.raises(ResourceLimitError, match="budget"):
+        core.table_rows(k_min, 98_222_288)
+
+
 def test_table_small_limit(capsys):
     code, out, _ = run(capsys, "table", "--index-limit", "16")
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]

@@ -274,3 +274,15 @@ def test_count_to_from_the_nearer_end(store_10m, odds, x, monkeypatch):
     assert (row, n) == (None if odds == 40_000 else ROW_0, 0)
     assert primes_mod._count_to(seg, x, row) == store_10m.prime_count(x) - 1
     assert primes_mod._count_to(seg, x, row, seg()) == store_10m.prime_count(x) - 1
+
+
+# the first, second and last segments; the last holds p_pi(2e9) = 1,999,999,973
+@pytest.mark.parametrize("x", [3, 131_075, 1_999_999_973])
+def test_nth_one_at_a_full_segment_count(x):
+    # counted forward from low, the row's count of ones is its last prime's
+    # byte (no segment ends on a prime), and one more is past every one
+    seg, row, _ = next(primes_mod._index(DEFAULT_SIEVE_BUDGET, x))
+    start, low = seg.args[:2]
+    mask, b = seg(), (low - start) // 2
+    assert primes_mod._nth_one(mask, b, row[2]) == mask.rfind(1) < len(mask) - 1
+    assert primes_mod._nth_one(mask, b, row[2] + 1) == len(mask) - 1

@@ -6,6 +6,7 @@ from itertools import islice
 from pathlib import Path
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -195,7 +196,8 @@ def test_largest_violation_range_error(store_10m):
 @pytest.mark.parametrize(
     "c,e,lo,hi",
     [
-        # log^271 x overflows a float past x = 9e5: the threshold read x
+        # log^271 x overflows a float past x = 9e5: the threshold is then
+        # x(1 + exp(ln c - e ln ln x))
         pytest.param(Fraction(10**305), 271, 990_000, 10**6, id="log-pow-inf"),
         # c itself is past the float range
         pytest.param(Fraction(10**400), 1, 3, 10**4, id="c-inf"),
@@ -213,6 +215,18 @@ def test_non_finite_floats_decided_exactly(store_10m, c, e, lo, hi):
         if not thm.threshold_exceeds(max(int(a), lo), int(b))
     ]
     assert [(a, b) for a, b, _ in report.violations] == exact == []
+
+
+def test_overflow_arm_threshold_against_mpmath():
+    # log^466 x overflows a float from x = 101 on, and c = 10^308 is finite:
+    # each violation shows x(1 + c/log^e x), not x (103.0, 107.0 and 109.0)
+    c, e = 10**308, 466
+    report = verify_theorem(GapTheorem("custom", 3, Fraction(c), e), 90, 120)
+    pairs = [(103, 107), (107, 109), (109, 113)]
+    assert [(p, q) for p, q, _ in report.violations] == pairs
+    with mpmath.workdps(30):
+        want = [float(p * (1 + c / mpmath.log(p) ** e)) for p, _ in pairs]
+    assert [thr for *_, thr in report.violations] == pytest.approx(want, rel=1e-12)
 
 
 def _assert_streams_like_stored_table(thm, lo, hi):
